@@ -50,8 +50,7 @@ ADAPTIVE_KW = dict(size=16, iterations=10, threshold=0.05, work_scale=8.0)
 ADAPTIVE_CFG = MachineConfig(n_nodes=8, page_size=512, per_byte_cost=0.6)
 
 
-def fig5_adaptive(fast: bool = False, jobs: int = 1,
-                  corpus=None) -> FigureResult:
+def fig5_adaptive(jobs: int = 1, corpus=None) -> FigureResult:
     """Four C** versions of Adaptive: {unopt, opt} x {32 B, 256 B} blocks."""
     specs = [
         VersionSpec("C** unopt (32)", adaptive, "stache", False,
@@ -66,7 +65,7 @@ def fig5_adaptive(fast: bool = False, jobs: int = 1,
     fig = FigureResult(
         "Figure 5",
         "Execution time for 4 C** versions of Adaptive",
-        run_specs(specs, jobs=jobs, fast=fast, corpus=corpus),
+        run_specs(specs, jobs=jobs, corpus=corpus),
     )
     best_unopt = min(fig.result("C** unopt (32)").wall,
                      fig.result("C** unopt (256)").wall)
@@ -111,8 +110,7 @@ BARNES_KW = dict(n=128, iterations=3, theta=0.6, dt=0.15, vel_scale=1.0,
 BARNES_CFG = MachineConfig(n_nodes=8, page_size=1024, per_byte_cost=1.15)
 
 
-def fig6_barnes(fast: bool = False, jobs: int = 1,
-                corpus=None) -> FigureResult:
+def fig6_barnes(jobs: int = 1, corpus=None) -> FigureResult:
     """Five versions of Barnes: {unopt, opt} x {32 B, 1024 B} + SPMD."""
     specs = [
         VersionSpec("C** unopt (32)", barnes, "stache", False,
@@ -130,7 +128,7 @@ def fig6_barnes(fast: bool = False, jobs: int = 1,
     fig = FigureResult(
         "Figure 6",
         "Execution time for 5 versions of Barnes",
-        run_specs(specs, jobs=jobs, fast=fast, corpus=corpus),
+        run_specs(specs, jobs=jobs, corpus=corpus),
     )
     fig.notes.append(
         "paper: at 32 B the optimized version wins on remote wait; at "
@@ -170,8 +168,7 @@ WATER_KW = dict(n=96, iterations=4, work_scale=60.0)
 WATER_CFG = MachineConfig(n_nodes=8, page_size=512, per_byte_cost=0.6)
 
 
-def fig7_water(fast: bool = False, jobs: int = 1,
-               corpus=None) -> FigureResult:
+def fig7_water(jobs: int = 1, corpus=None) -> FigureResult:
     """Three versions of Water: C** opt, C** unopt, and Splash.
 
     Block sizes per version are each version's best case, as in the paper.
@@ -188,7 +185,7 @@ def fig7_water(fast: bool = False, jobs: int = 1,
     fig = FigureResult(
         "Figure 7",
         "Execution time for 3 versions of Water",
-        run_specs(specs, jobs=jobs, fast=fast, corpus=corpus),
+        run_specs(specs, jobs=jobs, corpus=corpus),
     )
     fig.notes.append(
         f"opt is {fig.relative('C** unopt (64)'):.2f}x over unopt "

@@ -23,8 +23,6 @@ class VersionSpec:
     config: MachineConfig
     build_kwargs: dict = field(default_factory=dict)
     variant: str = "cstar"
-    #: run on the compiled fast path (bit-identical; see repro.fastpath)
-    fast: bool = False
 
 
 @dataclass
@@ -59,7 +57,7 @@ class VersionResult:
         )
 
 
-def spec_to_params(spec: VersionSpec, fast: bool | None = None) -> dict:
+def spec_to_params(spec: VersionSpec) -> dict:
     """A transport-safe (JSON) form of one spec for ``repro.farm`` params.
 
     App modules do not cross process boundaries, so the spec travels with
@@ -75,7 +73,6 @@ def spec_to_params(spec: VersionSpec, fast: bool | None = None) -> dict:
         "config": asdict(spec.config),
         "build_kwargs": dict(spec.build_kwargs),
         "variant": spec.variant,
-        "fast": spec.fast if fast is None else fast,
     }
 
 
@@ -90,7 +87,6 @@ def spec_from_params(params: dict) -> VersionSpec:
         config=MachineConfig(**params["config"]),
         build_kwargs=dict(params["build_kwargs"]),
         variant=params["variant"],
-        fast=params["fast"],
     )
 
 
@@ -121,8 +117,8 @@ def version_job(params: dict) -> dict:
     return out
 
 
-def run_specs(specs, jobs: int = 1, fast: bool | None = None,
-              tracer=None, progress=None, corpus=None) -> list[VersionResult]:
+def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
+              corpus=None) -> list[VersionResult]:
     """Run a list of specs, optionally sharded across a farm worker pool.
 
     Results come back in spec order regardless of scheduling, and each
@@ -137,7 +133,7 @@ def run_specs(specs, jobs: int = 1, fast: bool | None = None,
 
     specs = list(specs)
     keys: list[str | None] = [None] * len(specs)
-    params_list = [spec_to_params(spec, fast=fast) for spec in specs]
+    params_list = [spec_to_params(spec) for spec in specs]
     if corpus is not None:
         for i, spec in enumerate(specs):
             if not supports_warm(spec.protocol):
@@ -162,8 +158,7 @@ def run_specs(specs, jobs: int = 1, fast: bool | None = None,
             for i, spec in enumerate(specs)
         ]
     else:
-        results = [run_version(spec, fast=fast,
-                               warm=params.get("warm"),
+        results = [run_version(spec, warm=params.get("warm"),
                                harvest=bool(params.get("harvest")))
                    for spec, params in zip(specs, params_list)]
     if corpus is not None:
@@ -175,24 +170,20 @@ def run_specs(specs, jobs: int = 1, fast: bool | None = None,
     return results
 
 
-def run_version(spec: VersionSpec, tracer=None, fast: bool | None = None,
-                warm=None, harvest: bool = False) -> VersionResult:
+def run_version(spec: VersionSpec, tracer=None, warm=None,
+                harvest: bool = False) -> VersionResult:
     """Build the program, run it on a fresh machine, and collect stats.
 
     ``tracer`` optionally attaches a :class:`repro.obs.events.Tracer` to the
-    machine so benchmark runs can export event timelines.  ``fast``
-    overrides ``spec.fast`` when given (``repro reproduce --fast`` threads
-    it here without rebuilding every spec).  ``warm`` seeds corpus schedule
-    records before the run; ``harvest=True`` returns the learned records in
-    ``VersionResult.harvest``.
+    machine so benchmark runs can export event timelines.  ``warm`` seeds
+    corpus schedule records before the run; ``harvest=True`` returns the
+    learned records in ``VersionResult.harvest``.
     """
     kwargs = dict(spec.build_kwargs)
     if spec.variant != "cstar":
         kwargs["variant"] = spec.variant
     prog = spec.app.build(**kwargs)
-    use_fast = spec.fast if fast is None else fast
-    machine = make_machine(spec.config, spec.protocol, fast=use_fast,
-                           warm=warm)
+    machine = make_machine(spec.config, spec.protocol, warm=warm)
     if tracer is not None:
         machine.attach_tracer(tracer)
     env = prog.run(machine, optimized=spec.optimized)

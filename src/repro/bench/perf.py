@@ -1,26 +1,33 @@
-"""Wall-clock benchmarks and regression gate for the compiled fast path.
+"""Wall-clock benchmarks and the normalised regression gate.
 
 The suite times the Table-1 workloads (the Figure 5-7 configurations from
-:mod:`repro.bench.figures`) on both the reference path and the compiled
-fast path (:mod:`repro.fastpath`), plus a lock-step microbenchmark that
-isolates pure per-event engine overhead.  Every pair of runs must agree on
-``wall_time`` and ``total_dispatched`` — the fast path is bit-identical by
-contract, so any divergence is a hard error, not a perf number.
+:mod:`repro.bench.figures`) plus a lock-step microbenchmark that isolates
+pure per-event engine overhead.  The repeats of one case must agree on
+``wall_time`` and ``total_dispatched`` — the simulator is deterministic, so
+a divergence is a hard error, not a perf number.
 
-Snapshots (``benchmarks/BENCH_baseline.json`` / ``BENCH_fastpath.json``,
-schema :data:`BENCH_SCHEMA`) embed the per-workload timings, the measured
-speedups, and the runs' stats as a ``repro.metrics/v1`` registry.  The
-regression gate (:func:`compare_snapshots`) is **ratio-based**: absolute
-seconds are machine-dependent, but the fastpath/baseline speedup measured
-in one process is stable, so CI re-measures the quick profile and fails
-when a speedup falls more than ``tolerance`` below the committed one.
+The snapshot (``benchmarks/BENCH_sim.json``, schema :data:`BENCH_SCHEMA`)
+embeds the per-workload timings, the runs' stats as a ``repro.metrics/v1``
+registry, and its provenance: commit, Python, CPU, ``host_cpus`` and the
+time of a fixed pure-Python calibration kernel.  Every timing is also
+stored *normalised* by that kernel (``norm_sim`` = simulator seconds per
+kernel second), which cancels most of the host's speed.  The host's speed
+drifts within a minute, so the kernel is timed between the repeats of
+every case and the case's best time is divided by the best kernel time
+around it.  The gate (:func:`compare_snapshots`) fails a workload whose
+normalised time rises more than ``tolerance`` above the committed one, so
+an absolute slowdown fails on any host — no second code path is needed as
+a denominator.
 
-See ``docs/PERFORMANCE.md`` for the measured trajectory and the analysis
-of why the bit-identical 1:1 event mandate bounds the achievable speedup.
+See ``docs/PERFORMANCE.md`` for the measured numbers.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -32,6 +39,9 @@ from repro.util.config import MachineConfig
 from repro.util.errors import SimulationError
 
 BENCH_SCHEMA = "repro.bench/v1"
+
+#: default committed snapshot of the simulator suite
+SNAPSHOT_NAME = "BENCH_sim.json"
 
 #: synthetic pseudo-app label for the engine microbenchmark
 MICROBENCH = "microbench/lockstep"
@@ -103,23 +113,79 @@ def _case_config(case: BenchCase) -> MachineConfig:
     return base.with_(block_size=case.block_size)
 
 
+def kernel_seconds(repeats: int = 2) -> float:
+    """Best-of-``repeats`` time of a fixed pure-Python kernel.
+
+    The kernel mixes what the simulator does — integer arithmetic, float
+    accumulation, dict and list traffic, method-free loops — so the ratio
+    of a workload's seconds to it tracks interpreter speed, not the host.
+    """
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        acc = 0.0
+        table: dict[int, int] = {}
+        slots: list[int] = []
+        for i in range(200_000):
+            acc += i * 0.5
+            k = i & 1023
+            table[k] = table.get(k, 0) + 1
+            slots.append(k)
+            if len(slots) > 64:
+                slots.clear()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def provenance(kernel_s: float) -> dict:
+    """Where and on what a snapshot was measured."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)), timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "commit": commit,
+        "python": sys.version.split()[0],
+        "implementation": platform.python_implementation(),
+        "cpu": cpu,
+        "host_cpus": os.cpu_count(),
+        "kernel_seconds": kernel_s,
+    }
+
+
 @dataclass
 class CaseResult:
     case: BenchCase
-    fast: bool
     sim_seconds: float
     total_seconds: float
+    #: best-of seconds over the best kernel time sampled around the repeats
+    norm_sim: float
+    norm_total: float
+    kernel_seconds: float
     wall_cycles: float
     events: int
     stats: RunStats
 
 
-def _run_microbench(case: BenchCase, fast: bool) -> tuple[float, RunStats, int]:
+def _run_microbench(case: BenchCase) -> tuple[float, RunStats, int]:
     """Pure engine overhead: all nodes compute in lock step, one op per
     dispatch (every op advances time past the peers' horizon)."""
     cfg = _case_config(case)
     ops_per_node = int(case.build_kwargs.get("ops", 100_000))
-    machine = make_machine(cfg, case.protocol, fast=fast)
+    machine = make_machine(cfg, case.protocol)
     trace = PhaseTrace(
         "micro", [[("c", 1.0)] * ops_per_node
                   for _ in range(cfg.n_nodes)]
@@ -131,20 +197,18 @@ def _run_microbench(case: BenchCase, fast: bool) -> tuple[float, RunStats, int]:
     return elapsed, stats, machine.engine.total_dispatched
 
 
-def _run_app(case: BenchCase, fast: bool,
-             warm=None) -> tuple[float, float, RunStats, int]:
+def _run_app(case: BenchCase, warm=None) -> tuple[float, float, RunStats, int]:
     """One timed run; returns (sim_seconds, total_seconds, stats, events).
 
-    ``sim_seconds`` covers ``run_phase`` + ``begin_group`` only — the part
-    the fast path accelerates; trace generation (app physics) is identical
-    Python on both paths and would only dilute the ratio.
+    ``sim_seconds`` covers ``run_phase`` + ``begin_group`` only — the
+    simulator proper; ``total_seconds`` adds trace generation (the value
+    pass and app physics).
     """
-    import repro.apps as apps
+    import importlib
 
-    app = getattr(apps, case.app)
+    app = importlib.import_module(f"repro.apps.{case.app}")
     prog = app.build(**case.build_kwargs)
-    machine = make_machine(_case_config(case), case.protocol, fast=fast,
-                           warm=warm)
+    machine = make_machine(_case_config(case), case.protocol, warm=warm)
 
     sim = [0.0]
     inner_run_phase = machine.run_phase
@@ -173,146 +237,39 @@ def _run_app(case: BenchCase, fast: bool,
     return sim[0], total, stats, machine.engine.total_dispatched
 
 
-def run_case(case: BenchCase, fast: bool, repeats: int = 3,
-             warm=None) -> CaseResult:
-    """Best-of-``repeats`` timing of one case on one path.
+def run_case(case: BenchCase, repeats: int = 3, warm=None) -> CaseResult:
+    """Best-of-``repeats`` timing of one case, raw and kernel-normalised.
 
-    ``warm`` (corpus schedule records) must be supplied to *both* paths of
-    a pair identically — the ref/fast bit-identity check compares their
-    simulated results, and warming only one side would be a false
-    divergence.  The microbenchmark has no shared data and ignores it.
+    Every repeat must simulate the same thing (``wall_time`` and event
+    count); a divergence raises :class:`SimulationError`.  ``warm``
+    (corpus schedule records) seeds every repeat identically; the
+    microbenchmark has no shared data and ignores it.
     """
     best_sim = best_total = float("inf")
-    stats = None
-    events = 0
+    best_k = kernel_seconds()
+    first = None
     for _ in range(max(1, repeats)):
         if case.app == MICROBENCH:
-            elapsed, stats, events = _run_microbench(case, fast)
+            elapsed, stats, events = _run_microbench(case)
             sim_s = total_s = elapsed
         else:
-            sim_s, total_s, stats, events = _run_app(case, fast, warm=warm)
+            sim_s, total_s, stats, events = _run_app(case, warm=warm)
+        if first is None:
+            first = (stats.wall_time, events)
+        elif (stats.wall_time, events) != first:
+            raise SimulationError(
+                f"repeats of {case.label!r} diverged: wall/events {first} "
+                f"vs {(stats.wall_time, events)}"
+            )
         best_sim = min(best_sim, sim_s)
         best_total = min(best_total, total_s)
-    return CaseResult(case, fast, best_sim, best_total,
-                      stats.wall_time, events, stats)
+        best_k = min(best_k, kernel_seconds())
+    return CaseResult(case, best_sim, best_total, best_sim / best_k,
+                      best_total / best_k, best_k, stats.wall_time, events,
+                      stats)
 
 
-def measure(cases, repeats: int = 3):
-    """Run every case on both paths; enforce simulated-result equality.
-
-    Returns ``[(reference, fastpath), ...]`` pairs.  A ``wall_time`` or
-    event-count divergence means the fast path broke its bit-identical
-    contract and raises immediately — perf numbers for a wrong simulation
-    are meaningless.
-    """
-    pairs = []
-    for case in cases:
-        ref = run_case(case, fast=False, repeats=repeats)
-        fst = run_case(case, fast=True, repeats=repeats)
-        if ref.wall_cycles != fst.wall_cycles or ref.events != fst.events:
-            raise SimulationError(
-                f"fast path diverged on {case.label!r}: "
-                f"wall {ref.wall_cycles} vs {fst.wall_cycles}, "
-                f"events {ref.events} vs {fst.events}"
-            )
-        pairs.append((ref, fst))
-    return pairs
-
-
-def _workload_row(result: CaseResult, paired: CaseResult | None) -> dict:
-    case = result.case
-    row = {
-        "label": case.label,
-        "app": case.app,
-        "protocol": case.protocol,
-        "optimized": case.optimized,
-        "block_size": case.block_size,
-        "profile": case.profile,
-        "sim_seconds": result.sim_seconds,
-        "total_seconds": result.total_seconds,
-        "wall_cycles": result.wall_cycles,
-        "events": result.events,
-    }
-    if paired is not None:
-        row["speedup_sim"] = paired.sim_seconds / result.sim_seconds
-        row["speedup_total"] = paired.total_seconds / result.total_seconds
-    return row
-
-
-def snapshot(pairs, mode: str, repeats: int) -> dict:
-    """Serialize one path's results (``mode`` = "baseline" | "fastpath").
-
-    Fastpath rows carry ``speedup_*`` relative to the paired baseline run
-    from the same process.  Run stats ride along as a ``repro.metrics/v1``
-    registry so the snapshot round-trips through
-    :meth:`~repro.obs.metrics.MetricsRegistry.from_dict`.
-    """
-    if mode not in ("baseline", "fastpath"):
-        raise ValueError(f"unknown snapshot mode {mode!r}")
-    fast = mode == "fastpath"
-    rows = []
-    registries = []
-    for ref, fst in pairs:
-        own, other = (fst, ref) if fast else (ref, fst)
-        rows.append(_workload_row(own, other if fast else None))
-        registries.append(registry_from_run(
-            own.stats, bench=own.case.label, path=mode,
-            protocol=own.case.protocol, block_size=own.case.block_size,
-        ))
-    return {
-        "schema": BENCH_SCHEMA,
-        "mode": mode,
-        "repeats": repeats,
-        "workloads": rows,
-        "metrics": MetricsRegistry.merge_all(registries).to_dict(),
-    }
-
-
-def load_snapshot(doc: dict) -> dict:
-    """Validate a snapshot document (schema + embedded metrics registry)."""
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"unsupported bench schema {doc.get('schema')!r}; "
-            f"expected {BENCH_SCHEMA!r}"
-        )
-    MetricsRegistry.from_dict(doc["metrics"])  # raises on a bad registry
-    return doc
-
-
-def compare_snapshots(committed: dict, measured: dict,
-                      tolerance: float = 0.15) -> list[str]:
-    """The regression gate: measured speedups vs the committed snapshot.
-
-    Returns a list of human-readable regressions (empty = pass).  A
-    workload regresses when its measured ``speedup_sim`` falls more than
-    ``tolerance`` (fractionally) below the committed value; committed
-    workloads the measurement skipped are ignored (CI runs the quick
-    profile only), as are newly added ones (no baseline yet).
-    """
-    load_snapshot(committed)
-    load_snapshot(measured)
-    old = {w["label"]: w for w in committed["workloads"]}
-    problems = []
-    for row in measured["workloads"]:
-        base = old.get(row["label"])
-        if base is None:
-            continue
-        was, now = base.get("speedup_sim"), row.get("speedup_sim")
-        if was is None or now is None:
-            continue
-        if now < was * (1.0 - tolerance):
-            problems.append(
-                f"{row['label']}: fastpath speedup regressed "
-                f"{was:.2f}x -> {now:.2f}x "
-                f"(> {tolerance:.0%} below the committed snapshot)"
-            )
-    return problems
-
-
-# -- campaign farm sharding ---------------------------------------------------
-#
-# One farm job = one case timed on both paths, so the bit-identity check
-# stays local to the worker and the payload is plain JSON.  Host timings
+# One farm job = one timed case; the payload is plain JSON.  Host timings
 # are machine-load-dependent and therefore NOT part of the determinism
 # contract; the simulated results (wall_cycles, events, metrics) are, and
 # the farm differential tests compare exactly those.
@@ -334,56 +291,39 @@ def spec_to_case(spec: dict) -> BenchCase:
                      dict(spec["build_kwargs"]), spec["profile"])
 
 
-def _path_payload(result: CaseResult, mode: str) -> dict:
-    case = result.case
+def bench_case_job(spec: dict) -> dict:
+    """Farm job body: time one case; returns a JSON payload.
+
+    ``spec`` may carry a coordinator-computed ``"warm"`` corpus envelope.
+    """
+    case = spec_to_case(spec)
+    result = run_case(case, repeats=int(spec.get("repeats", 1)),
+                      warm=spec.get("warm"))
     return {
+        "case": case_to_spec(case),
         "sim_seconds": result.sim_seconds,
         "total_seconds": result.total_seconds,
+        "norm_sim": result.norm_sim,
+        "norm_total": result.norm_total,
+        "kernel_seconds": result.kernel_seconds,
         "wall_cycles": result.wall_cycles,
         "events": result.events,
         "metrics": registry_from_run(
-            result.stats, bench=case.label, path=mode,
-            protocol=case.protocol, block_size=case.block_size,
+            result.stats, bench=case.label, protocol=case.protocol,
+            block_size=case.block_size,
         ).to_dict(),
     }
 
 
-def bench_case_job(spec: dict) -> dict:
-    """Farm job body: time one case on both paths; returns a JSON payload.
+def measure(cases, repeats: int = 3, jobs: int = 1, tracer=None,
+            progress=None, corpus=None) -> list[dict]:
+    """Time every case; returns one :func:`bench_case_job` payload each.
 
-    The fast path's bit-identity check runs inside the job, so a diverging
-    worker fails its job (and the whole farm) immediately.  ``spec`` may
-    carry a coordinator-computed ``"warm"`` corpus envelope, applied to
-    both paths identically.
-    """
-    case = spec_to_case(spec)
-    repeats = int(spec.get("repeats", 1))
-    warm = spec.get("warm")
-    ref = run_case(case, fast=False, repeats=repeats, warm=warm)
-    fst = run_case(case, fast=True, repeats=repeats, warm=warm)
-    if ref.wall_cycles != fst.wall_cycles or ref.events != fst.events:
-        raise SimulationError(
-            f"fast path diverged on {case.label!r}: "
-            f"wall {ref.wall_cycles} vs {fst.wall_cycles}, "
-            f"events {ref.events} vs {fst.events}"
-        )
-    return {
-        "case": case_to_spec(case),
-        "ref": _path_payload(ref, "baseline"),
-        "fast": _path_payload(fst, "fastpath"),
-    }
-
-
-def measure_payloads(cases, repeats: int = 3, jobs: int = 1,
-                     tracer=None, progress=None, corpus=None) -> list[dict]:
-    """:func:`measure` in payload form, optionally sharded across a farm.
-
-    ``jobs=1`` runs :func:`bench_case_job` in-process per case (the same
-    computation the farm workers do), so the parallel path differs only in
-    where the work ran.  ``corpus`` warms each case's schedule-learning
-    protocol from the durable store (lookup coordinator-side, read-only —
-    the perf suite never harvests; use the figure harness or verify runs
-    to populate the corpus).
+    ``jobs > 1`` shards the cases across a local farm; ``jobs=1`` runs the
+    same job body in-process, so the two differ only in where the work
+    ran.  ``corpus`` warms each case's schedule-learning protocol from the
+    durable store (lookup coordinator-side, read-only — the perf suite
+    never harvests).
     """
     specs = [case_to_spec(case, repeats) for case in cases]
     if corpus is not None:
@@ -413,58 +353,110 @@ def measure_payloads(cases, repeats: int = 3, jobs: int = 1,
     return [bench_case_job(spec) for spec in specs]
 
 
-def snapshot_from_payloads(payloads, mode: str, repeats: int) -> dict:
-    """:func:`snapshot` over farm payloads (same document structure)."""
-    if mode not in ("baseline", "fastpath"):
-        raise ValueError(f"unknown snapshot mode {mode!r}")
-    fast = mode == "fastpath"
+def snapshot(payloads, repeats: int) -> dict:
+    """The snapshot document of one measurement.
+
+    Every row carries raw seconds and their kernel-normalised form; the
+    provenance records the fastest kernel time seen.  Run stats ride along
+    as a ``repro.metrics/v1`` registry so the snapshot round-trips through
+    :meth:`~repro.obs.metrics.MetricsRegistry.from_dict`.
+    """
     rows = []
-    registries = []
-    for payload in payloads:
-        own = payload["fast"] if fast else payload["ref"]
-        row = dict(payload["case"])
+    for p in payloads:
+        if not p["kernel_seconds"] > 0:
+            raise ValueError(f"kernel time must be positive, got "
+                             f"{p['kernel_seconds']!r}")
+        row = dict(p["case"])
         row.pop("repeats", None)
-        row.update(
-            sim_seconds=own["sim_seconds"], total_seconds=own["total_seconds"],
-            wall_cycles=own["wall_cycles"], events=own["events"],
-        )
-        if fast:
-            other = payload["ref"]
-            row["speedup_sim"] = other["sim_seconds"] / own["sim_seconds"]
-            row["speedup_total"] = (other["total_seconds"]
-                                    / own["total_seconds"])
+        row.update({k: p[k] for k in (
+            "sim_seconds", "total_seconds", "norm_sim", "norm_total",
+            "wall_cycles", "events")})
         rows.append(row)
-        registries.append(MetricsRegistry.from_dict(own["metrics"]))
     return {
         "schema": BENCH_SCHEMA,
-        "mode": mode,
+        "mode": "sim",
         "repeats": repeats,
+        "provenance": provenance(min(p["kernel_seconds"] for p in payloads)),
         "workloads": rows,
-        "metrics": MetricsRegistry.merge_all(registries).to_dict(),
+        "metrics": MetricsRegistry.merge_all(
+            MetricsRegistry.from_dict(p["metrics"]) for p in payloads
+        ).to_dict(),
     }
 
 
-def render_payloads(payloads) -> str:
+def load_snapshot(doc: dict) -> dict:
+    """Validate a snapshot document (schema + embedded metrics registry)."""
+    if doc.get("schema") != BENCH_SCHEMA:
+        raise ValueError(
+            f"unsupported bench schema {doc.get('schema')!r}; "
+            f"expected {BENCH_SCHEMA!r}"
+        )
+    MetricsRegistry.from_dict(doc["metrics"])  # raises on a bad registry
+    return doc
+
+
+def compare_snapshots(committed: dict, measured: dict,
+                      tolerance: float = 0.15) -> list[str]:
+    """The regression gate: measured rows vs the committed snapshot.
+
+    Returns a list of human-readable regressions (empty = pass).  A row
+    regresses when its kernel-normalised ``norm_sim`` rises more than
+    ``tolerance`` (fractionally) above the committed value, or — for the
+    farm's scaling rows — when its ``speedup_sim`` falls more than
+    ``tolerance`` below it.  Committed rows the measurement skipped are
+    ignored (CI runs the quick profile only), as are newly added ones
+    (no baseline yet).
+    """
+    load_snapshot(committed)
+    load_snapshot(measured)
+    old = {w["label"]: w for w in committed["workloads"]}
+    problems = []
+    for row in measured["workloads"]:
+        base = old.get(row["label"])
+        if base is None:
+            continue
+        was, now = base.get("norm_sim"), row.get("norm_sim")
+        if was is not None and now is not None \
+                and now > was * (1.0 + tolerance):
+            problems.append(
+                f"{row['label']}: normalised time regressed "
+                f"{was:.3g} -> {now:.3g} kernel-seconds "
+                f"(> {tolerance:.0%} above the committed snapshot)"
+            )
+        was, now = base.get("speedup_sim"), row.get("speedup_sim")
+        if was is not None and now is not None \
+                and now < was * (1.0 - tolerance):
+            problems.append(
+                f"{row['label']}: speedup regressed "
+                f"{was:.2f}x -> {now:.2f}x "
+                f"(> {tolerance:.0%} below the committed snapshot)"
+            )
+    return problems
+
+
+def best_of(doc: dict, again: dict) -> dict:
+    """``doc`` with each row replaced by ``again``'s row of the same label
+    when that one's normalised time is lower (a re-measurement)."""
+    rows = {w["label"]: w for w in again["workloads"]}
+    return {**doc, "workloads": [
+        min(w, rows.get(w["label"], w), key=lambda r: r["norm_sim"])
+        for w in doc["workloads"]
+    ]}
+
+
+def render(doc: dict) -> str:
     from repro.util.tables import format_table
 
-    rows = []
-    for payload in payloads:
-        ref, fst = payload["ref"], payload["fast"]
-        rows.append([
-            payload["case"]["label"],
-            payload["case"]["profile"],
-            ref["sim_seconds"],
-            fst["sim_seconds"],
-            ref["sim_seconds"] / fst["sim_seconds"],
-            ref["total_seconds"] / fst["total_seconds"],
-            float(ref["events"]),
-        ])
+    rows = [[w["label"], w["profile"], w["sim_seconds"], w["norm_sim"],
+             w["total_seconds"], float(w["events"])]
+            for w in doc["workloads"]]
+    kernel_s = doc["provenance"]["kernel_seconds"]
     return format_table(
-        ["workload", "profile", "ref sim s", "fast sim s",
-         "sim speedup", "total speedup", "events"],
+        ["workload", "profile", "sim s", "sim / kernel", "total s", "events"],
         rows,
         floatfmt=".3g",
-        title="fast path vs reference (best-of-N wall clock)",
+        title=f"simulator timings (best-of-{doc['repeats']}; fastest "
+              f"calibration kernel {kernel_s:.3g} s)",
     )
 
 
@@ -473,10 +465,9 @@ def _bench_sim_doc(payloads) -> list[dict]:
     return [
         {
             "label": p["case"]["label"],
-            "wall_cycles": p["ref"]["wall_cycles"],
-            "events": p["ref"]["events"],
-            "ref_metrics": p["ref"]["metrics"],
-            "fast_metrics": p["fast"]["metrics"],
+            "wall_cycles": p["wall_cycles"],
+            "events": p["events"],
+            "metrics": p["metrics"],
         }
         for p in payloads
     ]
@@ -519,7 +510,7 @@ def farm_scaling(jobs_curve=(1, 2, 4, 8), *, fuzz_seeds: int = 300,
                                    traces_dir=None, shrink=False, jobs=jobs),
          lambda report: report.to_dict()),
         ("bench-cases",
-         lambda jobs: measure_payloads(tiny, repeats=1, jobs=jobs),
+         lambda jobs: measure(tiny, repeats=1, jobs=jobs),
          _bench_sim_doc),
     ]
     rows = []
@@ -560,26 +551,3 @@ def farm_scaling(jobs_curve=(1, 2, 4, 8), *, fuzz_seeds: int = 300,
         "workloads": rows,
         "metrics": MetricsRegistry.merge_all(registries).to_dict(),
     }
-
-
-def render_pairs(pairs) -> str:
-    from repro.util.tables import format_table
-
-    rows = []
-    for ref, fst in pairs:
-        rows.append([
-            ref.case.label,
-            ref.case.profile,
-            ref.sim_seconds,
-            fst.sim_seconds,
-            ref.sim_seconds / fst.sim_seconds,
-            ref.total_seconds / fst.total_seconds,
-            float(ref.events),
-        ])
-    return format_table(
-        ["workload", "profile", "ref sim s", "fast sim s",
-         "sim speedup", "total speedup", "events"],
-        rows,
-        floatfmt=".3g",
-        title="fast path vs reference (best-of-N wall clock)",
-    )

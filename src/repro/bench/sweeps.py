@@ -83,8 +83,7 @@ def _point_row(point: dict, stats) -> dict:
 def sweep_grid(app, build_kwargs: dict, *, base_config: MachineConfig,
                axes: dict, backend: str = "sim", protocol: str = "stache",
                optimized: bool = False, variant: str = "cstar",
-               calibration=None, fast: bool = False,
-               progress=None) -> dict:
+               calibration=None, progress=None) -> dict:
     """Run one Cartesian parameter grid; returns a ``repro.sweep/v1`` doc.
 
     ``axes`` maps axis names (:data:`SWEEP_AXES`) to value lists; fields
@@ -110,7 +109,7 @@ def sweep_grid(app, build_kwargs: dict, *, base_config: MachineConfig,
 
             spec = VersionSpec(f"sweep point {i}", app, proto, optimized,
                                cfg, dict(build_kwargs), variant=variant)
-            stats = run_version(spec, fast=fast).stats
+            stats = run_version(spec).stats
         else:
             from repro.model.predictor import predict
 

@@ -22,7 +22,7 @@ PROTOCOLS = {
 
 
 def make_machine(config: MachineConfig, protocol: str = "stache",
-                 engine=None, fast: bool = False, warm=None) -> Machine:
+                 engine=None, warm=None) -> Machine:
     """Create a simulated machine running the named coherence protocol.
 
     ``protocol`` is one of ``"stache"`` (the write-invalidate default),
@@ -30,10 +30,7 @@ def make_machine(config: MachineConfig, protocol: str = "stache",
     (the hand-optimized SPMD baseline's custom protocol).  ``engine``
     optionally supplies a pre-built event engine — the verification
     subsystem passes an :class:`~repro.verify.interleave.ExplorerEngine`
-    here to fuzz message interleavings.  ``fast=True`` selects the
-    compiled fast path (:mod:`repro.fastpath`): a calendar-queue engine,
-    packed tag tables, and the analyze/specialize/schedule pipeline, with
-    behaviour bit-identical to the reference path.  ``warm`` optionally
+    here to fuzz message interleavings.  ``warm`` optionally
     supplies schedule records (``CommSchedule.to_record`` dicts, e.g. from
     the durable corpus) seeded into the protocol before the run so
     pre-sends start at iteration 1; protocols without schedule support
@@ -44,19 +41,7 @@ def make_machine(config: MachineConfig, protocol: str = "stache",
         raise ConfigError(
             f"unknown protocol {protocol!r}; available: {sorted(PROTOCOLS)}"
         )
-    if fast:
-        from repro.fastpath.calqueue import FastEngine
-
-        if engine is None:
-            engine = FastEngine()
-        elif not isinstance(engine, FastEngine):
-            raise ConfigError(
-                "fast=True requires a FastEngine (or no engine argument); "
-                f"got {type(engine).__name__}"
-            )
     machine = Machine(config, cls, engine=engine)
-    if fast:
-        machine.use_fastpath()
     if warm and hasattr(machine.protocol, "warm_seed"):
         machine.protocol.warm_seed(warm)
     return machine

@@ -18,7 +18,7 @@ aggregate (the paper's three rules):
 Join is set union (any-path); the fixpoint iterates in reverse postorder
 over the CFG using :class:`~repro.util.bitvec.BitVector` — or, for wide
 lattices, its packed word-array twin
-:class:`~repro.fastpath.packed.PackedBitVector` (see :func:`new_vector`).
+:class:`~repro.util.bitvec.PackedBitVector` (see :func:`new_vector`).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from repro.cstar.cfg import CFG, BasicBlock, build_cfg
 from repro.cstar.flow import FlowCall, FlowNode, collect_aggregates
-from repro.fastpath.packed import HAVE_NUMPY, PackedBitVector
-from repro.util.bitvec import BitVector
+from repro.util.bitvec import HAVE_NUMPY, BitVector, PackedBitVector
 
 #: programs with at least this many aggregates get the packed word-array
 #: vector (O(width/64) whole-vector ops instead of big-int shifting);

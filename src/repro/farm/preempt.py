@@ -56,21 +56,11 @@ def deserialize_observables(data: dict) -> Observables:
     return obs
 
 
-def _engine_for(fast: bool, max_events: int | None):
-    if fast:
-        from repro.fastpath.calqueue import FastEngine
-
-        return FastEngine(default_max_events=max_events), FifoPolicy()
-    policy = FifoPolicy()
-    return ExplorerEngine(policy, default_max_events=max_events), policy
-
-
 def sliced_run(
     workload: Workload,
     protocol: str,
     fault_plan=None,
     max_events: int | None = 2_000_000,
-    fast: bool = False,
     should_preempt=None,
     on_checkpoint=None,
     resume: dict | None = None,
@@ -80,7 +70,7 @@ def sliced_run(
     """Run ``workload`` under ``protocol`` in preemptible slices (FIFO order).
 
     Returns ``("done", Observables)`` — identical to what
-    ``run_workload(workload, protocol, fault_plan=..., fast=...)`` under
+    ``run_workload(workload, protocol, fault_plan=...)`` under
     FIFO tie-breaking produces — or ``("preempted", envelope)`` when
     ``should_preempt()`` fired and a quiescent checkpoint was reached.
     ``on_checkpoint(envelope)`` (optional) observes every checkpointable
@@ -92,19 +82,19 @@ def sliced_run(
     attached.
     """
     events, regions = workload.session
-    engine, policy = _engine_for(fast, max_events)
+    policy = FifoPolicy()
+    engine = ExplorerEngine(policy, default_max_events=max_events)
     if resume is None:
         cursor = 0
         machine = make_machine(workload.config, protocol, engine=engine,
-                               fast=fast, warm=warm)
+                               warm=warm)
         if fault_plan is not None:
             machine.install_fault_plan(fault_plan)
         obs = Observables(protocol=protocol)
         first_regions = regions
     else:
         cursor = resume["cursor"]
-        machine = restore_machine(resume["snapshot"], fast=fast,
-                                  engine=engine)
+        machine = restore_machine(resume["snapshot"], engine=engine)
         obs = deserialize_observables(resume["obs"])
         first_regions = []  # the snapshot already restored region state
     monitor = InvariantMonitor(seed=workload.seed, policy=policy)

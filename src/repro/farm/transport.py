@@ -17,9 +17,9 @@ Wire protocol (one tuple shape both ways keeps backends trivial):
 Two backends ship:
 
 * :class:`LocalProcessTransport` — a multiprocessing worker pool (fork
-  where available, spawn otherwise): one job queue per worker, one shared
-  result queue, one preemption flag per worker, and crash detection +
-  respawn via process liveness.
+  where available, spawn otherwise): one job queue, one private result
+  pipe and one preemption flag per worker, and crash detection + respawn
+  via process liveness.
 * :class:`InlineTransport` — executes jobs synchronously in-process.
   Zero isolation, zero overhead: the deterministic reference backend the
   farm tests drive the coordinator through, and the degenerate case a
@@ -29,8 +29,9 @@ Two backends ship:
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
+import time
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Callable
 
 from repro.farm.jobs import FarmJob
@@ -50,9 +51,28 @@ def _mp_context():
     )
 
 
-class LocalProcessTransport:
-    """A local worker pool over multiprocessing queues.
+class ResultSender:
+    """Worker-side end of one worker's private result pipe.
 
+    Offers the ``put`` of a queue, but sends synchronously on a pipe no
+    other process writes to.  A shared ``multiprocessing.Queue`` would let
+    a worker that dies mid-write (while its feeder thread holds the
+    queue's write lock) wedge every other worker's results for good.
+    """
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+
+    def put(self, message: tuple) -> None:
+        self._conn.send(message)
+
+
+class LocalProcessTransport:
+    """A local worker pool over multiprocessing queues and pipes.
+
+    Jobs go out on one queue per worker; results come back on one pipe per
+    worker process, whose only write end that process holds, so its death
+    reads as end-of-file instead of blocking the coordinator.
     ``stop_grace``/``kill_grace`` bound shutdown: a worker that ignores
     the stop message gets SIGTERM after ``stop_grace`` seconds, and one
     that ignores SIGTERM too gets SIGKILL after ``kill_grace`` more —
@@ -67,10 +87,12 @@ class LocalProcessTransport:
         self.stop_grace = stop_grace
         self.kill_grace = kill_grace
         self._ctx = _mp_context()
-        self._result_q = self._ctx.Queue()
         self._job_qs = [self._ctx.Queue() for _ in range(n_workers)]
         self._preempt_flags = [self._ctx.Event() for _ in range(n_workers)]
         self._procs: list = [None] * n_workers
+        #: read ends of every worker process's result pipe; a dead
+        #: process's pipe stays until drained to end-of-file
+        self._readers: list = []
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -80,15 +102,19 @@ class LocalProcessTransport:
         self._worker_main = worker_main
 
     def _spawn(self, wid: int, worker_main: Callable) -> None:
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(wid, self._job_qs[wid], self._result_q,
+            args=(wid, self._job_qs[wid], ResultSender(writer),
                   self._preempt_flags[wid]),
             daemon=True,
             name=f"repro-farm-worker-{wid}",
         )
         proc.start()
+        # the worker now holds the only write end: its exit is EOF here
+        writer.close()
         self._procs[wid] = proc
+        self._readers.append(reader)
 
     def respawn(self, wid: int) -> None:
         """Replace a dead worker with a fresh process (same id and deck)."""
@@ -114,6 +140,9 @@ class LocalProcessTransport:
                     # escalate to SIGKILL rather than leak a zombie
                     proc.kill()
                     proc.join(timeout=self.kill_grace)
+        for reader in self._readers:
+            reader.close()
+        self._readers = []
 
     # -- messaging -------------------------------------------------------------
 
@@ -121,11 +150,30 @@ class LocalProcessTransport:
         self._job_qs[wid].put(message)
 
     def recv(self, timeout: float = 0.2) -> tuple | None:
-        """The next worker message, or None after ``timeout`` seconds."""
-        try:
-            return self._result_q.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
+        """The next worker message, or None after ``timeout`` seconds.
+
+        Waits on every result pipe at once.  A pipe at end-of-file — its
+        worker exited, possibly mid-message — is dropped; the liveness
+        sweep handles the death.  The pipe read from moves to the back,
+        so one chatty worker cannot starve the others.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            if not self._readers:
+                time.sleep(remaining)
+                return None
+            for reader in wait(self._readers, timeout=remaining):
+                self._readers.remove(reader)
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    reader.close()
+                    continue
+                self._readers.append(reader)
+                return message
 
     # -- preemption and liveness -----------------------------------------------
 

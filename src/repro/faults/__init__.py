@@ -11,7 +11,7 @@ campaign driver here checks, via :mod:`repro.verify`, that coherence and the
 memory image survive every bundled fault plan.
 
 Everything is pay-for-what-you-use: an inactive :class:`FaultPlan` installs
-nothing, and the fault-free fast path is byte-for-byte unchanged.
+nothing, and the fault-free path is byte-for-byte unchanged.
 """
 
 from repro.faults.plan import (

@@ -231,12 +231,10 @@ def _dump_script(directory: str | Path, fail: FaultFailure) -> Path:
     return path
 
 
-def _check_unrecoverable(workload: Workload, protocol: str,
-                         fast: bool = False) -> bool:
+def _check_unrecoverable(workload: Workload, protocol: str) -> bool:
     """The hopeless plan must fail fast with full structured context."""
     try:
-        run_workload(workload, protocol, fault_plan=UNRECOVERABLE_PLAN,
-                     fast=fast)
+        run_workload(workload, protocol, fault_plan=UNRECOVERABLE_PLAN)
     except CoherenceViolation as violation:
         cause = violation.__cause__
         return (
@@ -252,7 +250,7 @@ def _check_unrecoverable(workload: Workload, protocol: str,
 def _build_failure(workload: Workload, w_name: str, plan_name: str,
                    protocol: str, plan: FaultPlan,
                    violation: CoherenceViolation, shrink: bool,
-                   fast: bool, warm=None) -> FaultFailure:
+                   warm=None) -> FaultFailure:
     """Capture one failing run: script its injection history and shrink it.
 
     ``warm`` must be whatever the failing run was seeded with — shrinking
@@ -272,7 +270,7 @@ def _build_failure(workload: Workload, w_name: str, plan_name: str,
             try:
                 run_workload(workload, protocol,
                              fault_plan=scripted.with_(events=tuple(subset)),
-                             fast=fast, warm=warm)
+                             warm=warm)
             except CoherenceViolation:
                 return True
             return False
@@ -306,7 +304,7 @@ def run_fault_cell(spec: dict, control=None):
     w_name = spec["workload"]["name"]
     base_plan = FaultPlan.from_dict(spec["plan"])
     plan_name, variant = spec["plan_name"], spec["variant"]
-    shrink, fast = spec["shrink"], spec["fast"]
+    shrink = spec["shrink"]
     warm_by_protocol = spec.get("warm") or {}
     resume = spec.get("resume") or {}
     done: list[dict] = list(resume.get("done", []))
@@ -327,7 +325,7 @@ def run_fault_cell(spec: dict, control=None):
                 from repro.farm.preempt import sliced_run
 
                 status, payload = sliced_run(
-                    workload, protocol, fault_plan=plan, fast=fast,
+                    workload, protocol, fault_plan=plan,
                     should_preempt=control.should_preempt, resume=resume_env,
                     warm=warm,
                 )
@@ -339,11 +337,10 @@ def run_fault_cell(spec: dict, control=None):
                 obs = payload
             else:
                 obs = run_workload(workload, protocol, fault_plan=plan,
-                                   fast=fast, warm=warm)
+                                   warm=warm)
         except CoherenceViolation as violation:
             failure = _build_failure(workload, w_name, plan_name, protocol,
-                                     plan, violation, shrink, fast,
-                                     warm=warm)
+                                     plan, violation, shrink, warm=warm)
         if failure is not None:
             done.append({"failure": failure.to_dict()})
         else:
@@ -384,8 +381,7 @@ def _finish_cell(workload: Workload, w_name: str, plan_name: str,
 def run_fault_probe(spec: dict, control=None) -> dict:
     """The unrecoverable fail-fast probe as a farmable job."""
     workload = _resolve_workload(spec["workload"])
-    return {"unrecoverable_ok": _check_unrecoverable(workload, "stache",
-                                                     fast=spec["fast"])}
+    return {"unrecoverable_ok": _check_unrecoverable(workload, "stache")}
 
 
 def _fold_cell_result(report: FaultCampaignReport, result: dict,
@@ -440,7 +436,6 @@ def run_campaign(
     check_unrecoverable: bool = True,
     progress: Callable[[str], None] | None = None,
     dump_scripts: str | Path | None = None,
-    fast: bool = False,
     jobs: int = 1,
     tracer=None,
     farm_transport=None,
@@ -458,9 +453,7 @@ def run_campaign(
     cross-checked against the fault-free ground truth via the differential
     oracle.  ``dump_scripts`` names a directory into which each failure's
     scripted reproducer (shrunk when possible) is written as JSON for
-    offline replay (:func:`repro.faults.plan.load_plan`).  ``fast`` runs
-    every FIFO-ordered replay (including scripted shrinking reruns) on the
-    compiled fast path; results are bit-identical.  ``jobs > 1`` shards the
+    offline replay (:func:`repro.faults.plan.load_plan`).  ``jobs > 1`` shards the
     campaign cells across a local worker farm
     (:func:`repro.farm.coordinator.run_farm`) with a byte-identical folded
     report; ``tracer`` then receives the farm's lifecycle events.
@@ -503,12 +496,12 @@ def run_campaign(
                     "workload": wspec, "w_index": w_index,
                     "plan_name": plan_name, "plan": base_plan.to_dict(),
                     "variant": variant, "protocols": run_protocols,
-                    "shrink": shrink, "fast": fast,
+                    "shrink": shrink,
                 }
                 if warm:
                     cell["warm"] = warm
                 cells.append(cell)
-    probe = ({"workload": workloads[0][2], "fast": fast}
+    probe = ({"workload": workloads[0][2]}
              if check_unrecoverable and workloads else None)
 
     if farm_transport is not None or (

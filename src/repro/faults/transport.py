@@ -1,7 +1,7 @@
 """A reliable transport over the (now possibly lossy) network.
 
 Installed by :meth:`repro.tempest.machine.Machine.install_fault_plan` only
-when the plan can perturb message delivery; the fault-free fast path never
+when the plan can perturb message delivery; the fault-free path never
 sees it.  The design is a classic per-channel reliable link:
 
 * every protocol message gets a per-(src, dst)-channel **sequence number**;

@@ -148,7 +148,7 @@ def _check_structure(spec, protocol: str, sim, base) -> None:
                 f"sim {sp.phase_name!r} vs model {mp.phase_name!r}")
 
 
-def _fit_protocol(specs, protocol: str, *, fast: bool):
+def _fit_protocol(specs, protocol: str):
     """Fit ``delta`` by a deterministic grid search on wall-clock error.
 
     Only delta is fitted: away from ping-pong regimes the base model is
@@ -169,7 +169,7 @@ def _fit_protocol(specs, protocol: str, *, fast: bool):
     refs = []
     walls = {}
     for spec in specs:
-        sim = run_version(spec, fast=fast).stats
+        sim = run_version(spec).stats
         base = predict(
             spec.app, spec.build_kwargs, protocol=protocol,
             optimized=spec.optimized, config=spec.config,
@@ -223,8 +223,7 @@ def _fit_protocol(specs, protocol: str, *, fast: bool):
     return (0.0, 1.0, round(float(best), 9)), diag
 
 
-def calibrate(*, fast: bool = True, progress=None,
-              tracer=None) -> Calibration:
+def calibrate(*, progress=None, tracer=None) -> Calibration:
     """Fit per-protocol residual coefficients from the reference sims.
 
     Fully deterministic: the reference simulations, the walk, and the
@@ -239,7 +238,7 @@ def calibrate(*, fast: bool = True, progress=None,
         if progress is not None:
             progress(f"calibrating {protocol} against "
                      f"{len(specs)} reference(s) ...")
-        (a, g, dl), diag = _fit_protocol(specs, protocol, fast=fast)
+        (a, g, dl), diag = _fit_protocol(specs, protocol)
         alpha[protocol] = a
         gamma[protocol] = g
         delta[protocol] = dl

@@ -24,11 +24,91 @@ queue in ``pending``):
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Deque
+from typing import Deque, Iterable, Iterator
 
-from repro.fastpath.packed import NodeSet
 from repro.util.errors import ProtocolError
+
+
+class NodeSet(Set):
+    """A mutable set of small non-negative ints stored as one bitmask.
+
+    Subclassing :class:`collections.abc.Set` supplies the full operator
+    algebra (including reflected forms, so ``plain_set - node_set`` works)
+    on top of the three primitives below; results of binary operators are
+    rebuilt as :class:`NodeSet` via ``_from_iterable``.  Iteration is in
+    ascending id order, making consumers deterministic by construction.
+    """
+
+    __slots__ = ("_mask",)
+
+    def __init__(self, iterable: Iterable[int] = ()) -> None:
+        mask = 0
+        for i in iterable:
+            if i < 0:
+                raise ValueError(f"NodeSet members must be >= 0, got {i}")
+            mask |= 1 << i
+        self._mask = mask
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> "NodeSet":
+        return cls(it)
+
+    # -- set protocol ---------------------------------------------------------
+
+    def __contains__(self, i: object) -> bool:
+        return isinstance(i, int) and i >= 0 and (self._mask >> i) & 1 == 1
+
+    def __iter__(self) -> Iterator[int]:
+        mask = self._mask
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def __len__(self) -> int:
+        return self._mask.bit_count()
+
+    def __bool__(self) -> bool:
+        return self._mask != 0
+
+    # sets compare by value and are unhashable, mirroring builtin set
+    __hash__ = None  # type: ignore[assignment]
+
+    # -- mutation (the directory treats sharers as a mutable set) -------------
+
+    def add(self, i: int) -> None:
+        if i < 0:
+            raise ValueError(f"NodeSet members must be >= 0, got {i}")
+        self._mask |= 1 << i
+
+    def discard(self, i: int) -> None:
+        if i >= 0:
+            self._mask &= ~(1 << i)
+
+    def clear(self) -> None:
+        self._mask = 0
+
+    def update(self, other: Iterable[int]) -> None:
+        if isinstance(other, NodeSet):
+            self._mask |= other._mask
+        else:
+            for i in other:
+                self.add(i)
+
+    def intersection_update(self, other: Iterable[int]) -> None:
+        if not isinstance(other, NodeSet):
+            other = NodeSet(other)
+        self._mask &= other._mask
+
+    def copy(self) -> "NodeSet":
+        dup = NodeSet()
+        dup._mask = self._mask
+        return dup
+
+    def __repr__(self) -> str:
+        return f"NodeSet({sorted(self)})"
 
 #: placeholder requester installed by crash recovery when the node being
 #: serviced by a busy entry died: the completing transition still runs (so

@@ -61,7 +61,7 @@ class CrashController:
     """Crash/detect/restart lifecycle for one machine.
 
     Installed by :meth:`Machine.install_fault_plan` when the plan can crash
-    nodes; the fault-free fast path (and every message-fault-only plan from
+    nodes; the fault-free path (and every message-fault-only plan from
     PR 3, whose RNG histories must stay bit-identical) never sees it.
     """
 

@@ -48,11 +48,11 @@ class NodeStats:
     presend_useless_blocks: int = 0  # pre-sent but invalidated before any use
     messages_sent: int = 0
     bytes_sent: int = 0
-    # resilient-transport counters (all zero on the fault-free fast path)
+    # resilient-transport counters (all zero on fault-free runs)
     transport_retries: int = 0       # retransmissions this node issued
     transport_timeouts: int = 0      # sends that exhausted the retry budget
     duplicates_suppressed: int = 0   # already-seen seqs discarded on arrival
-    # crash-recovery counters (all zero on the fault-free fast path)
+    # crash-recovery counters (all zero on fault-free runs)
     crashes: int = 0                 # crash-stop failures of this node
     reissued_requests: int = 0       # faults re-sent after a home crashed
 

@@ -21,7 +21,6 @@ they are about to consult) — the classic conservative-time-window rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol, Sequence
 
@@ -36,6 +35,8 @@ from repro.util.errors import SimulationError
 
 #: Trace operations: ("r", block), ("w", block), ("c", cycles)
 TraceOp = tuple
+
+_COMPUTE = TimeCategory.COMPUTE
 
 
 @dataclass
@@ -79,7 +80,18 @@ class CoherenceProtocolAPI(TypingProtocol):
 
 
 class ReplayProcessor:
-    """Replays one node's per-phase op list against the protocol."""
+    """Replays one node's per-phase op list against the protocol.
+
+    Dispatched from the engine's calendar queue as a bare
+    ``(proc, incarnation)`` step entry — no Event, no closure — either
+    through the engine's fused single-op path or through :meth:`step` for
+    catch-up dispatches.  Tag checks read the tag table's byte array
+    directly.  The COMPUTE accumulator and local-hit counter live in
+    ``_acc`` / ``_hits`` between dispatches and flush to ``stats`` at every
+    *observable* exit (miss, crash, barrier): nothing reads them between
+    yields.  ``machine.note_access`` is inlined (same effects, same hook
+    calls).
+    """
 
     __slots__ = (
         "machine",
@@ -93,6 +105,17 @@ class ReplayProcessor:
         "done",
         "crash_at",
         "restart_delay",
+        # hot state cached for the step loop; _acc/_hits are canonical
+        # between flush points
+        "_acc",
+        "_hits",
+        "_data",
+        "_n",
+        "_nid",
+        "_hit",
+        "_accessed",
+        "_pwrites",
+        "_hooks",
     )
 
     def __init__(self, machine: "Machine", node: Node, ops: list[TraceOp], start: float):
@@ -108,90 +131,169 @@ class ReplayProcessor:
         #: armed by the crash controller: crash-stop before executing this op
         self.crash_at: int | None = None
         self.restart_delay = 0.0
+        stats = node.stats
+        self._acc = stats.cycles[_COMPUTE]
+        self._hits = stats.local_hits
+        self._data = node.tags._data  # bytearray identity is stable
+        self._n = len(ops)
+        self._nid = node.id
+        self._hit = machine.config.cache_hit_cost
+        self._accessed = machine.group_accessed
+        self._pwrites = machine.phase_writes
+        self._hooks = machine.access_hooks
 
     # -- execution -------------------------------------------------------------
 
-    def start(self) -> None:
-        self._schedule_run(self.t)
-
     def _schedule_run(self, t: float) -> None:
-        """Schedule the next dispatch, incarnation-guarded under crash plans.
+        """Schedule the next dispatch, incarnation-stamped under crash plans.
 
-        The closure captures the node's incarnation *at schedule time*: a
+        The stamp is the node's incarnation *at schedule time*: a
         continuation scheduled before a crash must not fire into the node's
         next life, and one scheduled while down must not fire at all.
         """
         ctl = self.machine.crash_controller
-        if ctl is None:
-            self.machine.engine.schedule(t, self._run)
-        else:
-            inc = ctl.incarnations[self.node.id]
-            self.machine.engine.schedule(t, lambda: self._run_alive(inc))
+        inc = -1 if ctl is None else ctl.incarnations[self._nid]
+        self.machine.engine.push_step(t, self, inc)
 
-    def _run_alive(self, inc: int) -> None:
-        ctl = self.machine.crash_controller
-        if ctl is not None and (self.node.id in ctl.down
-                                or ctl.incarnations[self.node.id] != inc):
-            return
-        self._run()
+    # -- exits (shared by step() and the engine's fused path) -----------------
 
-    def _run(self) -> None:
-        """Process ops inline up to the conservative horizon, then yield."""
-        if self.done:
-            raise SimulationError(f"processor {self.node.id} ran after completion")
-        eng = self.machine.engine
-        cfg = self.machine.config
-        tags = self.node.tags
+    def _flush(self) -> None:
         stats = self.node.stats
-        horizon = eng.peek_time()
-        if horizon is None:
-            horizon = math.inf
-        ops = self.ops
-        n = len(ops)
-        progressed = False  # always make progress on >=1 op per dispatch,
-        # otherwise same-timestamp processors livelock re-yielding to each
-        # other; a tie with a pending event is semantically unordered anyway
-        while self.index < n:
-            if self.crash_at is not None and self.index >= self.crash_at:
-                self.machine.crash_controller.crash_now(self)
-                return
-            if progressed and self.t >= horizon:
-                self._schedule_run(self.t)
-                return
-            progressed = True
-            op = ops[self.index]
-            kind = op[0]
-            if kind == "c":
-                cycles = op[1]
-                self.t += cycles
-                stats.add(TimeCategory.COMPUTE, cycles)
-                self.index += 1
-            elif kind == "r" or kind == "w":
-                block = op[1]
-                if tags.permits(block, kind):
-                    self.t += cfg.cache_hit_cost
-                    stats.add(TimeCategory.COMPUTE, cfg.cache_hit_cost)
-                    stats.local_hits += 1
-                    self.index += 1
-                    self.machine.note_access(self.node.id, block, kind)
-                else:
-                    self.waiting = True
-                    self.miss_start = self.t
-                    self.pending_op = op
-                    if kind == "r":
-                        stats.read_misses += 1
-                    else:
-                        stats.write_misses += 1
-                    obs = self.machine.obs
-                    if obs.enabled:
-                        obs.emit(EventKind.MISS_BEGIN, self.t,
-                                 node=self.node.id, block=block, access=kind)
-                    self.machine.protocol.fault(self, block, kind, self.t)
-                    return
-            else:
-                raise SimulationError(f"unknown trace op {op!r}")
+        stats.cycles[_COMPUTE] = self._acc
+        stats.local_hits = self._hits
+
+    def _done_exit(self) -> None:
+        self._flush()
         self.done = True
         self.machine._arrive_barrier(self, self.t)
+
+    def _crash_exit(self) -> None:
+        self._flush()
+        self.machine.crash_controller.crash_now(self)
+
+    def _miss_exit(self, op) -> None:
+        self._flush()
+        kind = op[0]
+        b = op[1]
+        t = self.t
+        stats = self.node.stats
+        self.waiting = True
+        self.miss_start = t
+        self.pending_op = op
+        if kind == "r":
+            stats.read_misses += 1
+        else:
+            stats.write_misses += 1
+        machine = self.machine
+        obs = machine.obs
+        if obs.enabled:
+            obs.emit(EventKind.MISS_BEGIN, t, node=self._nid, block=b,
+                     access=kind)
+        machine.protocol.fault(self, b, kind, t)
+
+    def step(self, horizon: float) -> float | None:
+        """Process ops inline up to the conservative ``horizon``.
+
+        Returns the yield time (the engine re-pushes the continuation with
+        the next sequence number) or None when the dispatch ended in a
+        miss, crash, or barrier arrival.  ``horizon`` is the engine's
+        next-live-event time (``inf`` when the queue is empty).  At least
+        one op runs per dispatch, otherwise same-timestamp processors would
+        livelock re-yielding to each other (a tie with a pending event is
+        semantically unordered anyway).  Per op the checks run in a fixed
+        order: crash guard, then horizon (skipped before the first op),
+        then the op itself.
+        """
+        if self.done:
+            raise SimulationError(f"processor {self._nid} ran after completion")
+        i = self.index
+        n = self._n
+        if i >= n:  # empty trace: arrive immediately
+            self._done_exit()
+            return None
+        ops = self.ops
+        t = self.t
+        acc = self._acc
+        hits = self._hits
+        data = self._data
+        limit = len(data)
+        hit = self._hit
+        ca = self.crash_at
+        if ca is None:
+            ca = n + 1
+        nid = self._nid
+        accessed = self._accessed
+        hooks = self._hooks
+        if i >= ca:
+            self._crash_exit()
+            return None
+        while True:
+            op = ops[i]
+            kind = op[0]
+            if kind == "r":
+                b = op[1]
+                if b < limit and data[b]:
+                    t += hit
+                    acc += hit
+                    hits += 1
+                    i += 1
+                    accessed.add((nid, b))
+                    if hooks:
+                        for h in hooks:
+                            h(nid, b, "r")
+                else:
+                    self.index = i
+                    self.t = t
+                    self._acc = acc
+                    self._hits = hits
+                    self._miss_exit(op)
+                    return None
+            elif kind == "c":
+                c = op[1]
+                t += c
+                acc += c
+                i += 1
+            elif kind == "w":
+                b = op[1]
+                if b < limit and data[b] == 2:
+                    t += hit
+                    acc += hit
+                    hits += 1
+                    i += 1
+                    accessed.add((nid, b))
+                    self._pwrites.add((nid, b))
+                    if hooks:
+                        for h in hooks:
+                            h(nid, b, "w")
+                else:
+                    self.index = i
+                    self.t = t
+                    self._acc = acc
+                    self._hits = hits
+                    self._miss_exit(op)
+                    return None
+            else:
+                raise SimulationError(f"unknown trace op {op!r}")
+            if i >= n:
+                self.index = i
+                self.t = t
+                self._acc = acc
+                self._hits = hits
+                self._done_exit()
+                return None
+            if i >= ca:
+                self.index = i
+                self.t = t
+                self._acc = acc
+                self._hits = hits
+                self._crash_exit()
+                return None
+            if t >= horizon:
+                self.index = i
+                self.t = t
+                self._acc = acc
+                self._hits = hits
+                return t
 
     def resume(self, t: float) -> None:
         """Called by the protocol when the faulting access has been granted.
@@ -200,28 +302,32 @@ class ReplayProcessor:
         queueing, invalidation rounds) is charged as remote-data-wait time.
         """
         if not self.waiting:
-            raise SimulationError(f"resume of non-waiting processor {self.node.id}")
+            raise SimulationError(f"resume of non-waiting processor {self._nid}")
         if t < self.miss_start:
             raise SimulationError("protocol resumed processor in its past")
         op = self.pending_op
         assert op is not None
         if not self.node.tags.permits(op[1], op[0]):
             raise SimulationError(
-                f"protocol resumed node {self.node.id} without granting "
+                f"protocol resumed node {self._nid} without granting "
                 f"{op[0]!r} on block {op[1]}"
             )
-        self.node.stats.add(TimeCategory.REMOTE_WAIT, t - self.miss_start)
+        stats = self.node.stats
+        stats.add(TimeCategory.REMOTE_WAIT, t - self.miss_start)
         obs = self.machine.obs
         if obs.enabled:
-            obs.emit(EventKind.MISS_END, t, node=self.node.id, block=op[1],
+            obs.emit(EventKind.MISS_END, t, node=self._nid, block=op[1],
                      access=op[0], wait=t - self.miss_start)
-        self.machine.note_access(self.node.id, op[1], op[0])
+        self.machine.note_access(self._nid, op[1], op[0])
         self.waiting = False
         self.pending_op = None
         # The access completes now: consume the op (it is not a second,
-        # separately-counted hit) and continue.
-        self.t = t + self.machine.config.cache_hit_cost
-        self.node.stats.add(TimeCategory.COMPUTE, self.machine.config.cache_hit_cost)
+        # separately-counted hit) and continue.  The miss exit flushed the
+        # cached accumulators, so the charge goes to stats and re-syncs.
+        self.t = t + self._hit
+        stats.add(_COMPUTE, self._hit)
+        self._acc = stats.cycles[_COMPUTE]
+        self._hits = stats.local_hits
         self.index += 1
         self._schedule_run(self.t)
 
@@ -267,7 +373,7 @@ class Machine:
         #: observers called as ``hook(machine, trace)`` after each phase's
         #: barrier releases — the invariant monitor checks quiescence here
         self.phase_hooks: list = []
-        #: fault-injection state (None on the fault-free fast path)
+        #: fault-injection state (None on fault-free runs)
         self.fault_injector = None
         self._transport = None
         #: crash-recovery state (None unless the plan can crash nodes)
@@ -278,9 +384,6 @@ class Machine:
         #: observability sink (repro.obs); the default null tracer makes
         #: every instrumented site a single ``if obs.enabled`` check
         self.obs: Tracer = NULL_TRACER
-        #: compiled-simulation pipeline (repro.fastpath); None on the
-        #: reference path — see :meth:`use_fastpath`
-        self._fastpath = None
         self.protocol: CoherenceProtocolAPI = protocol_factory(self)
         self.network.attach(self._deliver)
 
@@ -347,7 +450,7 @@ class Machine:
 
         An inactive (all-zero) plan is a no-op: the injector, stall hooks,
         and reliable transport are only installed when the plan can actually
-        perturb something, so fault-free runs take the unchanged fast path.
+        perturb something, so fault-free runs take the unchanged path.
         """
         if plan is None or not plan.is_active():
             return
@@ -371,32 +474,6 @@ class Machine:
             self.crash_controller = CrashController(self, injector, plan)
             self.watchdog = Watchdog(self, plan.detect_cycles)
             self.network.incarnation_of = self.crash_controller.incarnation
-
-    def use_fastpath(self) -> None:
-        """Switch this machine to the compiled fast path (repro.fastpath).
-
-        Replays then run through the calendar-queue engine's batched
-        dispatch, packed tag tables, and the analyze/specialize/schedule
-        pass pipeline — with bit-identical observable behaviour (enforced
-        by the differential suite in ``tests/fastpath``).  Requires the
-        engine to be a :class:`~repro.fastpath.calqueue.FastEngine`;
-        normally reached via ``make_machine(..., fast=True)``.
-        """
-        # Imported lazily; repro.fastpath subclasses this module's types.
-        from repro.fastpath.calqueue import FastEngine
-        from repro.fastpath.packed import PackedTagTable
-        from repro.fastpath.passes import FastPathPipeline
-
-        if not isinstance(self.engine, FastEngine):
-            raise SimulationError(
-                "the fast path requires the machine to run on a FastEngine"
-            )
-        for node in self.nodes:
-            packed = PackedTagTable(node.id)
-            for block, tag in node.tags.items():
-                packed.set(block, tag)
-            node.tags = packed
-        self._fastpath = FastPathPipeline(self)
 
     def attach_tracer(self, tracer: Tracer) -> None:
         """Route this machine's (and its network's and engine's) events to
@@ -493,23 +570,15 @@ class Machine:
         obs = self.obs
         if obs.enabled:
             obs.begin_phase(trace.name, self.current_directive, start)
-        if self._fastpath is not None:
-            prog = self._fastpath.compile(trace, start)
-            procs = prog.procs
-        else:
-            prog = None
-            procs = [
-                ReplayProcessor(self, self.nodes[i], trace.ops[i], start)
-                for i in range(self.config.n_nodes)
-            ]
-        self._procs = procs
-        if self.crash_controller is not None:
-            self.crash_controller.arm_phase(procs, phase_index)
-        if prog is not None:
-            self._fastpath.launch(prog)
-        else:
-            for p in procs:
-                p.start()
+        procs = self._compile_phase(trace, start)
+        ctl = self.crash_controller
+        if ctl is not None:
+            ctl.arm_phase(procs, phase_index)
+        # the phase launches as one calendar slot, in node order
+        self.engine.push_steps(start, [
+            (p, -1 if ctl is None else ctl.incarnations[p._nid])
+            for p in procs
+        ])
         self.engine.run()
         if len(self._barrier_arrivals) != self.config.n_nodes:
             missing = [p.node.id for p in procs if not p.done]
@@ -553,6 +622,39 @@ class Machine:
         for hook in self.phase_hooks:
             hook(self, trace)
         return breakdown
+
+    def _compile_phase(self, trace: PhaseTrace, start: float) -> list[ReplayProcessor]:
+        """Validate ``trace`` and build its processors, before any op runs.
+
+        One linear scan rejects malformed ops up front, so the replay loop
+        carries no per-op validation: the engine's fused dispatch relies on
+        non-negative charges (MachineConfig already rejects a negative
+        ``cache_hit_cost``) and the tag reads on non-negative block ids.
+        Every node's tag table is presized to the allocated address space,
+        so hot-loop byte reads never fall off its end.
+        """
+        for node_ops in trace.ops:
+            for op in node_ops:
+                kind = op[0]
+                if kind == "c":
+                    if op[1] < 0:
+                        raise SimulationError(
+                            f"negative compute charge in trace op {op!r}"
+                        )
+                elif kind == "r" or kind == "w":
+                    if op[1] < 0:
+                        raise SimulationError(
+                            f"negative block index in trace op {op!r}"
+                        )
+                else:
+                    raise SimulationError(f"unknown trace op {op!r}")
+        end = max((r.end for r in self.addr_space.regions), default=0)
+        bs = self.config.block_size
+        n_blocks = (end + bs - 1) // bs
+        for node in self.nodes:
+            node.tags.reserve(n_blocks)
+        return [ReplayProcessor(self, node, trace.ops[node.id], start)
+                for node in self.nodes]
 
     def _phase_cycle_delta(self) -> dict[str, float]:
         """Advance the per-category marks; return this phase's nonzero deltas.

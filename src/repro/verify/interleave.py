@@ -16,18 +16,20 @@ as a :class:`TieBreakPolicy`:
   interleavings systematically (bounded depth-first search over choice
   points, in the stateless-model-checking style).
 
-Every policy records its decisions in ``choices`` and the number of ready
-events it chose among in ``frontiers``; together with the workload seed this
-is a complete, replayable schedule.
+Every policy the explorer consults records its decisions in ``choices`` and
+the number of ready events it chose among in ``frontiers``; together with
+the workload seed this is a complete, replayable schedule.  FIFO runs never
+consult the policy (the engine's own order is FIFO), so they record nothing:
+an empty schedule *is* the FIFO schedule.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop
 from typing import Callable, Iterator
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine, Event, _livelock
 
 
 class TieBreakPolicy:
@@ -108,41 +110,61 @@ class DfsPolicy(ReplayPolicy):
 class ExplorerEngine(Engine):
     """An engine whose same-timestamp dispatch order is policy-controlled.
 
-    With :class:`FifoPolicy` it is behaviourally identical to the base
-    engine.  ``default_max_events`` bounds every :meth:`run` call so a
-    protocol bug that livelocks under an adversarial order is reported as
-    a :class:`~repro.util.errors.SimulationError` instead of hanging the
-    fuzzer.
+    The frontier at each dispatch is the live entries of the earliest
+    calendar slot, in sequence order — exactly the events of the earliest
+    timestamp, FIFO first — so choice indices are stable across replays.
+    Entries scheduled at that timestamp by the chosen callback join the
+    same slot and the next frontier.  With :class:`FifoPolicy` every choice
+    is index 0, so the explorer runs the base engine's batched loop (fused
+    single-op dispatch included) and records no choice points; any other
+    policy dispatches one entry per pick, step entries through
+    ``proc.step``.  ``default_max_events`` bounds every :meth:`run` call
+    so a protocol bug that livelocks under an adversarial order is
+    reported as a :class:`~repro.util.errors.SimulationError` instead of
+    hanging the fuzzer.
     """
 
     def __init__(self, policy: TieBreakPolicy | None = None,
                  default_max_events: int | None = 2_000_000) -> None:
-        super().__init__()
+        super().__init__(default_max_events)
         self.policy = policy if policy is not None else FifoPolicy()
-        self.default_max_events = default_max_events
-
-    def _next_event(self) -> Event | None:
-        self._prune_cancelled_front()
-        if not self._queue:
-            return None
-        t = self._queue[0].time
-        frontier: list[Event] = []
-        while self._queue and self._queue[0].time == t:
-            ev = heapq.heappop(self._queue)
-            if not ev.cancelled:
-                frontier.append(ev)
-        # heap pops arrive in (time, seq) order, so the frontier is already
-        # sorted by seq — choice indices are therefore stable across replays
-        i = self.policy.pick(frontier)
-        chosen = frontier.pop(i)
-        for ev in frontier:
-            heapq.heappush(self._queue, ev)
-        return chosen
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        if max_events is None:
-            max_events = self.default_max_events
-        return super().run(until=until, max_events=max_events)
+        policy = self.policy
+        if type(policy) is FifoPolicy:
+            return super().run(until=until, max_events=max_events)
+        max_events = self._enter_run(max_events)
+        dispatched = 0
+        slots, times = self._slots, self._times
+        try:
+            while True:
+                t = self._peek_future()
+                if t is None:
+                    if until is not None and self.now < until:
+                        self.now = until
+                    break
+                if until is not None and t > until:
+                    break
+                frontier = [e for e in slots[t]
+                            if type(e) is tuple or not e.cancelled]
+                chosen = frontier.pop(policy.pick(frontier))
+                if frontier:
+                    slots[t] = frontier
+                else:
+                    del slots[t]
+                    heappop(times)
+                self.now = t
+                if type(chosen) is tuple:
+                    self._step_entry(chosen)
+                else:
+                    chosen.fn()
+                dispatched += 1
+                self._dispatched += 1
+                if max_events is not None and dispatched >= max_events:
+                    raise _livelock(max_events)
+        finally:
+            self._running = False
+        return self._exit_run(dispatched)
 
 
 def explore_dfs(

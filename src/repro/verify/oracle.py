@@ -60,7 +60,6 @@ def run_workload(
     max_events: int | None = 2_000_000,
     fault_plan=None,
     tracer=None,
-    fast: bool = False,
     warm=None,
     harvest: bool = False,
 ) -> Observables:
@@ -70,11 +69,7 @@ def run_workload(
     the machine (see :meth:`Machine.install_fault_plan`); an inactive plan
     changes nothing.  ``tracer`` optionally attaches a
     :class:`repro.obs.events.Tracer` (``machine.attach_tracer``) so fault
-    campaigns can export event timelines.  ``fast=True`` runs the compiled
-    fast path (:mod:`repro.fastpath`) — only honoured under FIFO
-    tie-breaking, since its calendar queue dispatches in exactly the
-    reference FIFO order; exploratory or replay policies fall back to the
-    reference :class:`ExplorerEngine`.  ``warm`` optionally seeds corpus
+    campaigns can export event timelines.  ``warm`` optionally seeds corpus
     schedule records into the protocol before the run (see
     :meth:`PredictiveProtocol.warm_seed`); ``harvest=True`` collects the
     learned schedules into ``Observables.harvest`` afterwards so the
@@ -83,18 +78,10 @@ def run_workload(
     transport timeout, or deadlock, with the seed, schedule, and injected
     fault events attached for replay.
     """
-    use_fast = fast and (policy is None or type(policy) is FifoPolicy)
     policy = policy if policy is not None else FifoPolicy()
-    if use_fast:
-        from repro.fastpath.calqueue import FastEngine
-
-        engine = FastEngine(default_max_events=max_events)
-        machine = make_machine(workload.config, protocol, engine=engine,
-                               fast=True, warm=warm)
-    else:
-        engine = ExplorerEngine(policy, default_max_events=max_events)
-        machine = make_machine(workload.config, protocol, engine=engine,
-                               warm=warm)
+    engine = ExplorerEngine(policy, default_max_events=max_events)
+    machine = make_machine(workload.config, protocol, engine=engine,
+                           warm=warm)
     if fault_plan is not None:
         machine.install_fault_plan(fault_plan)
     if tracer is not None:

@@ -11,6 +11,10 @@ retry, not the campaign.
 
 import json
 import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -69,3 +73,53 @@ def test_job_exception_fails_fast_without_retry():
     jobs = [FarmJob(index=0, kind="no-such-kind")]
     with pytest.raises(FarmError, match="no-such-kind"):
         run_farm(jobs, n_workers=2)
+
+
+@contextmanager
+def hard_timeout(seconds):
+    """Fail (instead of hanging) when the block outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _dies_mid_write(wid, job_q, result_q, preempt_flag):
+    """Worker 0 exits while writing a result larger than the pipe buffer
+    (nobody reads yet, so the write is stuck part-way); worker 1 reports
+    afterwards."""
+    if wid == 0:
+        big = ("result", 0, 0, "x" * (1 << 20))
+        threading.Thread(target=result_q.put, args=(big,), daemon=True).start()
+        time.sleep(0.5)
+        os._exit(13)
+    time.sleep(1.5)
+    result_q.put(("result", 1, 1, "ok"))
+    job_q.get()  # the stop message
+
+
+def test_worker_dying_mid_write_does_not_wedge_the_others():
+    """A worker killed inside a result write must not block the survivors'
+    results, nor the coordinator's ``recv``."""
+    transport = LocalProcessTransport(2, stop_grace=1.0, kill_grace=1.0)
+    transport.start(_dies_mid_write)
+    try:
+        time.sleep(1.0)  # worker 0 is dead before the first read
+        with hard_timeout(20):
+            received = []
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline and ("result", 1, 1, "ok") \
+                    not in received:
+                message = transport.recv(timeout=0.2)
+                if message is not None:
+                    received.append(message)
+        assert ("result", 1, 1, "ok") in received
+        assert not transport.alive(0)
+    finally:
+        transport.stop()

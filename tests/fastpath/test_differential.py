@@ -1,130 +1,73 @@
-"""Differential equivalence: the fast path must be bit-identical.
+"""Differential replay against the golden digests.
 
-Every test replays the same workload through a reference machine and a
-fast-path machine and requires *exact* equality of
-
-* the full checkpoint snapshot (:func:`snapshot_machine` — engine seq and
-  dispatch counters, tag tables, directory state, fault/crash controller
-  state, node statistics), and
-* the structured :class:`~repro.sim.stats.RunStats` content,
-
-across all three protocols and the fault-free, faulted, and crashed
-regimes, plus a seeded fuzz sweep and small real-application runs.  A run
-that raises must raise identically on both paths.
+Every test replays part of the golden matrix (``tests/sim/test_golden.py``)
+on the simulator and requires the digest of its outcome — the full
+checkpoint snapshot plus :class:`~repro.sim.stats.RunStats`, or the
+exception type and message of a run that raises — to equal the digest
+recorded from the heap-queue reference simulator.  Together they cover all
+three protocols under the fault-free, drop, delay, chaos, crash and
+crash-storm regimes over fuzz seeds 0-7, four small real-application runs,
+and the differential oracle's FIFO observables.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.factory import make_machine
-from repro.faults.plan import BUNDLED_PLANS, CRASH_PLANS
-from repro.recovery.checkpoint import snapshot_machine
-from repro.tempest.tracefile import replay_session
 from repro.verify.workload import ALL_PROTOCOLS, generate_workload
+from tests.sim.test_golden import (
+    APP_PROTOCOLS,
+    APPS,
+    REGIMES,
+    SEEDS,
+    app_key,
+    assert_replay_golden,
+    golden,
+    oracle_key,
+    outcome,
+    run_app,
+    run_oracle,
+)
 
-#: one representative of each fault regime the campaign distinguishes
-REGIMES = ["drop", "delay", "chaos", "crash", "crash-storm"]
-
-
-def _plan(name):
-    if name is None:
-        return None
-    plan = BUNDLED_PLANS.get(name) or CRASH_PLANS[name]
-    return plan
-
-
-def _stats_key(stats):
-    return (
-        stats.wall_time,
-        stats.phase_rows(),
-        stats.summary_rows(),
-        [vars(ns) for ns in stats.nodes],
-    )
-
-
-def _run_one(workload, protocol, regime, fast):
-    machine = make_machine(workload.config, protocol, fast=fast)
-    plan = _plan(regime)
-    if plan is not None:
-        machine.install_fault_plan(plan)
-    stats = replay_session(workload.session, machine)
-    return snapshot_machine(machine), _stats_key(stats)
-
-
-def assert_equivalent(workload, protocol, regime=None):
-    try:
-        ref_snap, ref_stats = _run_one(workload, protocol, regime, fast=False)
-    except Exception as ref_exc:  # both paths must fail identically
-        with pytest.raises(type(ref_exc)) as info:
-            _run_one(workload, protocol, regime, fast=True)
-        assert str(info.value) == str(ref_exc)
-        return
-    fast_snap, fast_stats = _run_one(workload, protocol, regime, fast=True)
-    assert fast_snap == ref_snap
-    assert fast_stats == ref_stats
+#: the fault regimes (REGIMES minus fault-free)
+FAULTED = [r for r in REGIMES if r is not None]
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("seed", range(2))
 def test_fault_free(seed, protocol):
-    assert_equivalent(generate_workload(seed), protocol)
+    assert_replay_golden(seed, protocol, None)
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("regime", FAULTED)
 def test_fault_regimes(regime, protocol):
-    for seed in (0, 1):
-        assert_equivalent(generate_workload(seed), protocol, regime)
+    for seed in SEEDS:
+        assert_replay_golden(seed, protocol, regime)
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_fuzz_sweep(protocol):
-    """Seeded sweep: many small generated sessions, fault-free and chaotic."""
-    for seed in range(2, 8):
-        workload = generate_workload(seed)
-        assert_equivalent(workload, protocol)
-        assert_equivalent(workload, protocol,
-                          "chaos" if seed % 2 == 0 else "crash")
+    """The rest of the fault-free seeds."""
+    for seed in SEEDS[2:]:
+        assert_replay_golden(seed, protocol, None)
 
 
-@pytest.mark.parametrize("app_name,kwargs", [
-    ("water", dict(n=24, iterations=2, work_scale=10.0)),
-    ("adaptive", dict(size=8, iterations=3, threshold=0.05, work_scale=4.0)),
-])
-@pytest.mark.parametrize("protocol,optimized", [
-    ("stache", False), ("predictive", True),
-])
-def test_real_apps(app_name, kwargs, protocol, optimized):
-    """Small real-application runs: stats and final machine state match."""
-    import repro.apps as apps
-
-    from repro.util.config import MachineConfig
-
-    app = getattr(apps, app_name)
-    cfg = MachineConfig(n_nodes=4, block_size=32, page_size=256)
-    results = {}
-    for fast in (False, True):
-        machine = make_machine(cfg, protocol, fast=fast)
-        env = app.build(**kwargs).run(machine, optimized=optimized)
-        stats = env.finish()
-        results[fast] = (
-            _stats_key(stats),
-            machine.engine.total_dispatched,
-            machine.engine._seq,
-            snapshot_machine(machine),
-        )
-    assert results[True] == results[False]
+@pytest.mark.parametrize("app_name", list(APPS),
+                         ids=[f"{a}-kwargs{i}" for i, a in enumerate(APPS)])
+@pytest.mark.parametrize("protocol,optimized", APP_PROTOCOLS)
+def test_real_apps(app_name, protocol, optimized):
+    """Small real-application runs: stats, dispatch count and final machine
+    state match."""
+    key = app_key(app_name, protocol, optimized)
+    assert outcome(lambda: run_app(app_name, protocol, optimized)) \
+        == golden("apps", key), f"app run {key} diverged"
 
 
 def test_oracle_fast_matches_reference():
-    """run_workload(fast=True) observes exactly what the reference does."""
-    from repro.verify.oracle import run_workload
-
-    workload = generate_workload(3)
-    for protocol in workload.protocols:
-        ref = run_workload(workload, protocol)
-        fst = run_workload(workload, protocol, fast=True)
-        assert fst.readers == ref.readers
-        assert fst.writers == ref.writers
-        assert fst.image == ref.image
+    """run_workload's FIFO observables match the reference on every seed."""
+    for seed in SEEDS:
+        for protocol in generate_workload(seed).protocols:
+            key = oracle_key(seed, protocol)
+            assert outcome(lambda: run_oracle(seed, protocol)) \
+                == golden("oracle", key), f"oracle run {key} diverged"

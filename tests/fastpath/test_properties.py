@@ -1,8 +1,10 @@
-"""Property tests: packed representations vs their reference twins.
+"""Property tests: packed representations vs plain reference models.
 
 Hypothesis drives random operation sequences through the packed structure
-and the reference structure side by side; every observable output must
-match.  The calendar-queue engine gets the same treatment in
+and a plain model side by side — ``BitVector`` for the word-array vector,
+the builtin ``set`` for :class:`NodeSet`, a dict for the byte-per-block
+:class:`TagTable` — and every observable output must match.  The
+calendar-queue engine gets the same treatment in
 ``test_queue_properties.py``.
 """
 
@@ -12,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fastpath.packed import NodeSet, PackedBitVector, PackedTagTable
+from repro.protocols.directory import NodeSet
 from repro.tempest.tags import AccessTag, TagTable
-from repro.util.bitvec import BitVector
+from repro.util.bitvec import BitVector, PackedBitVector
 
 WIDTH = st.integers(min_value=0, max_value=200)
 
@@ -153,8 +155,40 @@ def test_nodeset_operator_algebra(a, b):
 
 
 # --------------------------------------------------------------------------- #
-# PackedTagTable vs TagTable
+# TagTable vs a dict model
 # --------------------------------------------------------------------------- #
+
+
+class DictTags:
+    """Reference model: block -> tag dict, missing entries INVALID."""
+
+    def __init__(self):
+        self.tags = {}
+
+    def get(self, b):
+        return self.tags.get(b, AccessTag.INVALID)
+
+    def set(self, b, tag):
+        if tag is AccessTag.INVALID:
+            self.tags.pop(b, None)
+        else:
+            self.tags[b] = tag
+
+    def permits(self, b, kind):
+        return self.get(b).permits(kind)
+
+    def downgrade(self, b):
+        if self.get(b) is AccessTag.READ_WRITE:
+            self.tags[b] = AccessTag.READ_ONLY
+
+    def invalidate(self, b):
+        self.tags.pop(b, None)
+
+    def clear(self):
+        self.tags.clear()
+
+    def reserve(self, n):
+        pass
 
 _BLOCK = st.integers(min_value=0, max_value=120)
 _TAG = st.sampled_from(list(AccessTag))
@@ -174,22 +208,21 @@ _TAG = st.sampled_from(list(AccessTag))
     max_size=40,
 ))
 def test_tag_table_matches_reference(ops):
-    ref, packed = TagTable(node=0), PackedTagTable(node=0)
+    ref, packed = DictTags(), TagTable(node=0)
     for op, a, b in ops:
         args = [x for x in (a, b) if x is not None]
         ref_out = getattr(ref, op)(*args)
         packed_out = getattr(packed, op)(*args)
         assert ref_out == packed_out, (op, args)
-        assert len(packed) == len(ref)
-    assert list(packed.items()) == sorted(ref.items())
+        assert len(packed) == len(ref.tags)
+    assert list(packed.items()) == sorted(ref.tags.items())
     for tag in AccessTag:
-        if tag is AccessTag.INVALID:
-            continue
-        assert packed.blocks_with_tag(tag) == sorted(ref.blocks_with_tag(tag))
+        assert packed.blocks_with_tag(tag) == sorted(
+            b for b, t in ref.tags.items() if t is tag)
 
 
 def test_tag_table_clear_preserves_storage_identity():
-    packed = PackedTagTable(node=1)
+    packed = TagTable(node=1)
     packed.set(7, AccessTag.READ_WRITE)
     data = packed._data
     packed.clear()

@@ -1,13 +1,14 @@
 """Regression: cancelled events must never leave a stale frontier.
 
-``Event.cancel`` only flags the event; it stays queued.  Before the fix in
-:meth:`Engine._prune_cancelled_front`, ``peek_time`` could report the time
-of a cancelled head event — a time no live event would ever dispatch at —
-and the replay processors' conservative horizon rule would then yield at a
-phantom horizon, splitting one dispatch into two and changing the engine's
-sequence allocation.  ``pending`` similarly counted cancelled garbage, so
-the quiescence check at phase barriers could see a "non-empty" queue that
-would never drain.  Both engines carry the contract now; both are pinned
+``Event.cancel`` only flags the event; it stays queued.  Without pruning,
+``peek_time`` could report the time of a cancelled head event — a time no
+live event would ever dispatch at — and the replay processors'
+conservative horizon rule would then yield at a phantom horizon, splitting
+one dispatch into two and changing the engine's sequence allocation.
+``pending`` similarly counted cancelled garbage, so the quiescence check at
+phase barriers could see a "non-empty" queue that would never drain.  Both
+dispatch loops carry the contract — the engine's batched FIFO loop and the
+explorer's per-pick loop under a tie-break policy — and both are pinned
 here.
 """
 
@@ -15,13 +16,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fastpath.calqueue import FastEngine
 from repro.sim.engine import Engine
+from repro.verify.interleave import ExplorerEngine, SeededRandomPolicy
 
-ENGINES = [Engine, FastEngine]
+ENGINES = pytest.mark.parametrize(
+    "engine_cls",
+    [Engine, lambda: ExplorerEngine(SeededRandomPolicy(0))],
+    ids=["Engine", "ExplorerEngine"],
+)
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
+@ENGINES
 def test_peek_skips_cancelled_head(engine_cls):
     engine = engine_cls()
     first = engine.schedule(1.0, lambda: None)
@@ -31,7 +36,7 @@ def test_peek_skips_cancelled_head(engine_cls):
     assert engine.pending == 1
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
+@ENGINES
 def test_peek_skips_fully_cancelled_timestamp(engine_cls):
     """An all-cancelled timestamp must be dropped, not merely skipped."""
     engine = engine_cls()
@@ -45,7 +50,7 @@ def test_peek_skips_fully_cancelled_timestamp(engine_cls):
     assert engine.now == 4.0
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
+@ENGINES
 def test_all_cancelled_queue_is_empty(engine_cls):
     engine = engine_cls()
     events = [engine.schedule(float(t), lambda: None) for t in (1, 2, 3)]
@@ -56,7 +61,7 @@ def test_all_cancelled_queue_is_empty(engine_cls):
     assert engine.run() == 0
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
+@ENGINES
 def test_cancel_during_dispatch_updates_frontier(engine_cls):
     """A callback cancelling a later event must retire it from the peek
     frontier *within the same run* (the horizon read by the next dispatch)."""
@@ -75,7 +80,7 @@ def test_cancel_during_dispatch_updates_frontier(engine_cls):
     assert engine.now == 7.0
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
+@ENGINES
 def test_pending_prunes_cancelled_garbage(engine_cls):
     """Quiescence checks rely on ``pending`` reporting live events only."""
     engine = engine_cls()

@@ -140,9 +140,11 @@ class TestEdgeCases:
         for ev in events[::2]:
             ev.cancel()
         assert eng.pending == 3
-        # pruned for real, not merely skipped: the heap no longer holds them
-        assert len(eng._queue) == 3
-        assert all(not ev.cancelled for ev in eng._queue)
+        # pruned for real, not merely skipped: the calendar no longer
+        # holds them
+        queued = [ev for slot in eng._slots.values() for ev in slot]
+        assert len(queued) == 3
+        assert all(not ev.cancelled for ev in queued)
 
     def test_max_events_cutoff_mid_timestep(self):
         eng = Engine()
