@@ -124,7 +124,9 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
     Results come back in spec order regardless of scheduling, and each
     version's simulation is seeded entirely by its spec, so the list is
     identical to the sequential one (``RunStats`` round-trips losslessly
-    through :meth:`~repro.sim.stats.RunStats.to_dict`).  ``corpus``
+    through :meth:`~repro.sim.stats.RunStats.to_dict`).  Sequentially,
+    specs that share a program record its value pass once
+    (:func:`run_shared`); each farm job records its own.  ``corpus``
     warm-starts every schedule-learning spec from the durable corpus and
     harvests what each run learned back into it; lookups and stores both
     happen here (coordinator-side), so farm workers stay stateless.
@@ -158,9 +160,10 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
             for i, spec in enumerate(specs)
         ]
     else:
-        results = [run_version(spec, warm=params.get("warm"),
-                               harvest=bool(params.get("harvest")))
-                   for spec, params in zip(specs, params_list)]
+        results = run_shared(specs, lambda i, recording: run_version(
+            specs[i], warm=params_list[i].get("warm"),
+            harvest=bool(params_list[i].get("harvest")),
+            recording=recording))
     if corpus is not None:
         for spec, key, result in zip(specs, keys, results):
             if key is not None and result.harvest:
@@ -170,23 +173,57 @@ def run_specs(specs, jobs: int = 1, tracer=None, progress=None,
     return results
 
 
-def run_version(spec: VersionSpec, tracer=None, warm=None,
-                harvest: bool = False) -> VersionResult:
-    """Build the program, run it on a fresh machine, and collect stats.
+def _record(spec: VersionSpec):
+    from repro.model.recording import record
 
-    ``tracer`` optionally attaches a :class:`repro.obs.events.Tracer` to the
-    machine so benchmark runs can export event timelines.  ``warm`` seeds
-    corpus schedule records before the run; ``harvest=True`` returns the
-    learned records in ``VersionResult.harvest``.
+    return record(spec.app, spec.build_kwargs, spec.variant,
+                  n_nodes=spec.config.n_nodes,
+                  page_size=spec.config.page_size)
+
+
+def run_shared(specs, run) -> list:
+    """``[run(i, recording) for each spec i]``, recording each program once.
+
+    Specs with the same recording key (app, build kwargs, variant,
+    ``n_nodes``, ``page_size``) share one recording, made at the first of
+    them; the last of them gets the only remaining reference, so the
+    recording is freed as soon as that run returns and nothing outlives
+    the call.
     """
-    kwargs = dict(spec.build_kwargs)
-    if spec.variant != "cstar":
-        kwargs["variant"] = spec.variant
-    prog = spec.app.build(**kwargs)
+    from repro.model.recording import recording_key
+
+    keys = [recording_key(s.app, s.build_kwargs, s.variant,
+                          s.config.n_nodes, s.config.page_size)
+            for s in specs]
+    last = {key: i for i, key in enumerate(keys)}
+    live: dict = {}
+    out = []
+    for i, (spec, key) in enumerate(zip(specs, keys)):
+        if key not in live:
+            live[key] = _record(spec)
+        out.append(run(i, live.pop(key) if last[key] == i else live[key]))
+    return out
+
+
+def run_version(spec: VersionSpec, tracer=None, warm=None,
+                harvest: bool = False, recording=None) -> VersionResult:
+    """Replay the spec's program on a fresh machine and collect stats.
+
+    ``recording`` is the program's value-pass recording, shared between
+    specs (see :func:`run_shared`); without one the program is
+    recorded first.  ``tracer`` optionally attaches a
+    :class:`repro.obs.events.Tracer` to the machine so benchmark runs can
+    export event timelines.  ``warm`` seeds corpus schedule records before
+    the run; ``harvest=True`` returns the learned records in
+    ``VersionResult.harvest``.
+    """
+    if recording is None:
+        recording = _record(spec)
     machine = make_machine(spec.config, spec.protocol, warm=warm)
     if tracer is not None:
         machine.attach_tracer(tracer)
-    env = prog.run(machine, optimized=spec.optimized)
+    env = recording.program.run(machine, optimized=spec.optimized,
+                                recording=recording)
     stats = env.finish()
     stats.check_conservation()
     result = VersionResult(spec=spec, stats=stats)

@@ -14,10 +14,12 @@ stored *normalised* by that kernel (``norm_sim`` = simulator seconds per
 kernel second), which cancels most of the host's speed.  The host's speed
 drifts within a minute, so the kernel is timed between the repeats of
 every case and the case's best time is divided by the best kernel time
-around it.  The gate (:func:`compare_snapshots`) fails a workload whose
-normalised time rises more than ``tolerance`` above the committed one, so
-an absolute slowdown fails on any host — no second code path is needed as
-a denominator.
+around it.  App rows also carry ``norm_valuepass``: the value pass and
+trace lowering (everything outside ``run_phase`` + ``begin_group``),
+normalised the same way.  The gate (:func:`compare_snapshots`) fails a
+workload whose normalised simulator or value-pass time rises more than
+``tolerance`` above the committed one, so an absolute slowdown fails on
+any host — no second code path is needed as a denominator.
 
 See ``docs/PERFORMANCE.md`` for the measured numbers.
 """
@@ -175,6 +177,10 @@ class CaseResult:
     norm_sim: float
     norm_total: float
     kernel_seconds: float
+    #: best per-repeat total - sim seconds (value pass + lowering), raw and
+    #: normalised; zero for the microbenchmark
+    valuepass_seconds: float
+    norm_valuepass: float
     wall_cycles: float
     events: int
     stats: RunStats
@@ -202,7 +208,7 @@ def _run_app(case: BenchCase, warm=None) -> tuple[float, float, RunStats, int]:
 
     ``sim_seconds`` covers ``run_phase`` + ``begin_group`` only — the
     simulator proper; ``total_seconds`` adds trace generation (the value
-    pass and app physics).
+    pass with the app physics, and lowering each phase to blocks).
     """
     import importlib
 
@@ -245,7 +251,7 @@ def run_case(case: BenchCase, repeats: int = 3, warm=None) -> CaseResult:
     (corpus schedule records) seeds every repeat identically; the
     microbenchmark has no shared data and ignores it.
     """
-    best_sim = best_total = float("inf")
+    best_sim = best_total = best_vp = float("inf")
     best_k = kernel_seconds()
     first = None
     for _ in range(max(1, repeats)):
@@ -263,10 +269,11 @@ def run_case(case: BenchCase, repeats: int = 3, warm=None) -> CaseResult:
             )
         best_sim = min(best_sim, sim_s)
         best_total = min(best_total, total_s)
+        best_vp = min(best_vp, total_s - sim_s)
         best_k = min(best_k, kernel_seconds())
     return CaseResult(case, best_sim, best_total, best_sim / best_k,
-                      best_total / best_k, best_k, stats.wall_time, events,
-                      stats)
+                      best_total / best_k, best_k, best_vp, best_vp / best_k,
+                      stats.wall_time, events, stats)
 
 
 # One farm job = one timed case; the payload is plain JSON.  Host timings
@@ -306,6 +313,8 @@ def bench_case_job(spec: dict) -> dict:
         "norm_sim": result.norm_sim,
         "norm_total": result.norm_total,
         "kernel_seconds": result.kernel_seconds,
+        "valuepass_seconds": result.valuepass_seconds,
+        "norm_valuepass": result.norm_valuepass,
         "wall_cycles": result.wall_cycles,
         "events": result.events,
         "metrics": registry_from_run(
@@ -371,6 +380,9 @@ def snapshot(payloads, repeats: int) -> dict:
         row.update({k: p[k] for k in (
             "sim_seconds", "total_seconds", "norm_sim", "norm_total",
             "wall_cycles", "events")})
+        if row["app"] != MICROBENCH:
+            row.update({k: p[k] for k in ("valuepass_seconds",
+                                          "norm_valuepass")})
         rows.append(row)
     return {
         "schema": BENCH_SCHEMA,
@@ -395,17 +407,23 @@ def load_snapshot(doc: dict) -> dict:
     return doc
 
 
+#: gated kernel-normalised columns and how a regression of each is named
+GATED = (("norm_sim", "normalised time"),
+         ("norm_valuepass", "normalised value-pass time"))
+
+
 def compare_snapshots(committed: dict, measured: dict,
                       tolerance: float = 0.15) -> list[str]:
     """The regression gate: measured rows vs the committed snapshot.
 
     Returns a list of human-readable regressions (empty = pass).  A row
-    regresses when its kernel-normalised ``norm_sim`` rises more than
+    regresses when one of its kernel-normalised :data:`GATED` columns
+    (``norm_sim``, and ``norm_valuepass`` on app rows) rises more than
     ``tolerance`` (fractionally) above the committed value, or — for the
     farm's scaling rows — when its ``speedup_sim`` falls more than
-    ``tolerance`` below it.  Committed rows the measurement skipped are
-    ignored (CI runs the quick profile only), as are newly added ones
-    (no baseline yet).
+    ``tolerance`` below it.  Committed rows or columns the measurement
+    skipped are ignored (CI runs the quick profile only), as are newly
+    added ones (no baseline yet).
     """
     load_snapshot(committed)
     load_snapshot(measured)
@@ -415,14 +433,15 @@ def compare_snapshots(committed: dict, measured: dict,
         base = old.get(row["label"])
         if base is None:
             continue
-        was, now = base.get("norm_sim"), row.get("norm_sim")
-        if was is not None and now is not None \
-                and now > was * (1.0 + tolerance):
-            problems.append(
-                f"{row['label']}: normalised time regressed "
-                f"{was:.3g} -> {now:.3g} kernel-seconds "
-                f"(> {tolerance:.0%} above the committed snapshot)"
-            )
+        for key, what in GATED:
+            was, now = base.get(key), row.get(key)
+            if was is not None and now is not None \
+                    and now > was * (1.0 + tolerance):
+                problems.append(
+                    f"{row['label']}: {what} regressed "
+                    f"{was:.3g} -> {now:.3g} kernel-seconds "
+                    f"(> {tolerance:.0%} above the committed snapshot)"
+                )
         was, now = base.get("speedup_sim"), row.get("speedup_sim")
         if was is not None and now is not None \
                 and now < was * (1.0 - tolerance):
@@ -435,24 +454,32 @@ def compare_snapshots(committed: dict, measured: dict,
 
 
 def best_of(doc: dict, again: dict) -> dict:
-    """``doc`` with each row replaced by ``again``'s row of the same label
-    when that one's normalised time is lower (a re-measurement)."""
+    """``doc`` after a re-measurement ``again``: each row takes, per gated
+    column, the lower of the two measurements of the same label (the rest
+    of the row comes from the one with the lower ``norm_sim``)."""
     rows = {w["label"]: w for w in again["workloads"]}
-    return {**doc, "workloads": [
-        min(w, rows.get(w["label"], w), key=lambda r: r["norm_sim"])
-        for w in doc["workloads"]
-    ]}
+    out = []
+    for w in doc["workloads"]:
+        other = rows.get(w["label"], w)
+        best = dict(min(w, other, key=lambda r: r["norm_sim"]))
+        for key, _ in GATED:
+            if key in w and key in other:
+                best[key] = min(w[key], other[key])
+        out.append(best)
+    return {**doc, "workloads": out}
 
 
 def render(doc: dict) -> str:
     from repro.util.tables import format_table
 
     rows = [[w["label"], w["profile"], w["sim_seconds"], w["norm_sim"],
-             w["total_seconds"], float(w["events"])]
+             w.get("norm_valuepass", 0.0), w["total_seconds"],
+             float(w["events"])]
             for w in doc["workloads"]]
     kernel_s = doc["provenance"]["kernel_seconds"]
     return format_table(
-        ["workload", "profile", "sim s", "sim / kernel", "total s", "events"],
+        ["workload", "profile", "sim s", "sim / kernel",
+         "value pass / kernel", "total s", "events"],
         rows,
         floatfmt=".3g",
         title=f"simulator timings (best-of-{doc['repeats']}; fastest "

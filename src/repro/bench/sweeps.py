@@ -95,28 +95,40 @@ def sweep_grid(app, build_kwargs: dict, *, base_config: MachineConfig,
     """
     if backend not in ("sim", "model"):
         raise ConfigError(f"unknown sweep backend {backend!r}")
+    from repro.bench.harness import VersionSpec, run_shared, run_version
+
     points = _grid_points(axes)
-    rows = []
-    for i, point in enumerate(points):
-        proto = point.get("protocol", protocol)
-        cfg = base_config.with_(
-            **{k: v for k, v in point.items() if k != "protocol"})
+    specs = [
+        VersionSpec(f"sweep point {i}", app, point.get("protocol", protocol),
+                    optimized,
+                    base_config.with_(**{k: v for k, v in point.items()
+                                         if k != "protocol"}),
+                    dict(build_kwargs), variant=variant)
+        for i, point in enumerate(points)
+    ]
+
+    def announce(i: int) -> None:
         if progress is not None:
             progress(f"[{backend}] point {i + 1}/{len(points)}: "
-                     + ", ".join(f"{k}={v}" for k, v in point.items()))
-        if backend == "sim":
-            from repro.bench.harness import VersionSpec, run_version
+                     + ", ".join(f"{k}={v}" for k, v in points[i].items()))
 
-            spec = VersionSpec(f"sweep point {i}", app, proto, optimized,
-                               cfg, dict(build_kwargs), variant=variant)
-            stats = run_version(spec).stats
-        else:
-            from repro.model.predictor import predict
+    def simulate(i: int, recording):
+        announce(i)
+        return run_version(specs[i], recording=recording).stats
 
-            stats = predict(app, dict(build_kwargs), protocol=proto,
-                            optimized=optimized, config=cfg,
-                            variant=variant, calibration=calibration).stats
-        rows.append(_point_row(point, stats))
+    def model(i: int):
+        from repro.model.predictor import predict
+
+        announce(i)
+        return predict(app, dict(build_kwargs), protocol=specs[i].protocol,
+                       optimized=optimized, config=specs[i].config,
+                       variant=variant, calibration=calibration).stats
+
+    # simulated points share one recording per program (points that differ
+    # only in block size, protocol or costs)
+    stats = (run_shared(specs, simulate) if backend == "sim"
+             else [model(i) for i in range(len(specs))])
+    rows = [_point_row(point, s) for point, s in zip(points, stats)]
     from dataclasses import asdict
 
     return {

@@ -24,7 +24,7 @@ from repro.cstar.flow import FlowCall, FlowIf, FlowLoop, FlowNode, FlowSeq, Flow
 from repro.cstar.interp import BodyInterp, eval_scalar
 from repro.cstar.parser import parse
 from repro.cstar.placement import PlacementResult, place_directives
-from repro.cstar.runtime import CStarRuntime
+from repro.cstar.recording import ProgramRecording, recording_env, replay
 from repro.cstar.sema import FunctionInfo, ProgramInfo, analyze
 from repro.tempest.machine import Machine
 from repro.util.errors import CompileError
@@ -179,12 +179,12 @@ class CompiledProgram:
         optimized: bool = True,
         params: dict[str, Any] | None = None,
     ) -> Env:
-        runtime = CStarRuntime(machine)
-        env = Env(runtime=runtime, params=dict(params or {}))
+        """Record the value pass (the placed program), then replay it on
+        ``machine`` with or without the directives."""
+        env = recording_env(machine.config, params)
         env.state["vars"] = {}
-        root = self.placement.root if optimized else self.flow
-        execute(root, env)
-        return env
+        execute(self.placement.root, env)
+        return replay(ProgramRecording.of(self, env), machine, optimized)
 
 
 def compile_source(source: str) -> CompiledProgram:

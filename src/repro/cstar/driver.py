@@ -2,7 +2,7 @@
 
 Walks a :mod:`repro.cstar.flow` tree, issuing runtime directives at
 :class:`~repro.cstar.flow.FlowGroup` boundaries and running parallel calls
-through the trace-capturing runtime.
+through the recording runtime.
 """
 
 from __future__ import annotations
@@ -31,16 +31,19 @@ class Env:
     params: dict[str, Any] = field(default_factory=dict)
     #: free-form application state (trees, element lists, iteration counters)
     state: dict[str, Any] = field(default_factory=dict)
+    #: the machine the program runs on: the runtime's while it executes; a
+    #: replayed recording's environment carries the replay machine
+    machine: Any = None
+
+    def __post_init__(self) -> None:
+        if self.machine is None and self.runtime is not None:
+            self.machine = self.runtime.machine
 
     def agg(self, name: str):
         return self.runtime.aggregates[name]
 
-    @property
-    def machine(self):
-        return self.runtime.machine
-
     def finish(self):
-        return self.runtime.finish()
+        return self.machine.finish()
 
 
 def execute(node: FlowNode, env: Env) -> None:

@@ -7,8 +7,8 @@ Figure 4).  This frontend therefore lets an application written in Python
 declare exactly that information — each parallel function's
 :class:`~repro.cstar.access.AccessSummary` and the ``main`` flow tree — and
 feeds it through the very same dataflow and directive-placement passes as
-the textual compiler.  Invocation bodies are Python callables executed under
-the trace-capturing runtime.
+the textual compiler.  Invocation bodies are Python callables executed by
+the recording runtime.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from repro.cstar.access import Access, AccessKind, AccessSummary, Locality
 from repro.cstar.driver import Env, execute
 from repro.cstar.flow import FlowCall, FlowIf, FlowLoop, FlowSeq, FlowStmt
 from repro.cstar.placement import PlacementResult, place_directives
-from repro.cstar.runtime import CStarRuntime, ElementContext
+from repro.cstar.recording import ProgramRecording, recording_env, replay
+from repro.cstar.runtime import ElementContext
 from repro.tempest.machine import Machine
+from repro.util.config import MachineConfig
 from repro.util.errors import CompileError
 
 
@@ -141,22 +143,30 @@ class EmbeddedProgram:
             self._placement = place_directives(self.main, label_prefix=f"{self.name}:")
         return self._placement
 
+    def record(self, config: MachineConfig,
+               params: dict[str, Any] | None = None) -> ProgramRecording:
+        """Run the value pass once (the placed program) and record it."""
+        env = recording_env(config, params)
+        self.setup(env)
+        execute(self.compile().root, env)
+        return ProgramRecording.of(self, env)
+
     def run(
         self,
         machine: Machine,
         params: dict[str, Any] | None = None,
         optimized: bool = True,
+        recording: ProgramRecording | None = None,
     ) -> Env:
-        """Execute on ``machine``.
+        """Execute on ``machine``: record the value pass, then replay it.
 
         ``optimized=True`` runs the directive-annotated program (the paper's
         "optimized communication" versions); ``False`` runs the same program
         with no directives (the unoptimized baseline), regardless of
-        protocol.
+        protocol.  ``recording`` replays an existing recording of this
+        program (from :meth:`record`, made with the same ``params``)
+        instead of running the value pass again.
         """
-        runtime = CStarRuntime(machine)
-        env = Env(runtime=runtime, params=dict(params or {}))
-        self.setup(env)
-        root = self.compile().root if optimized else self.main
-        execute(root, env)
-        return env
+        if recording is None:
+            recording = self.record(machine.config, params)
+        return replay(recording, machine, optimized)

@@ -1,4 +1,4 @@
-"""The C** data-parallel runtime on the simulated DSM machine.
+"""The C** data-parallel runtime: the value pass and its recording.
 
 Aggregates (paper §4.1) are global collections that look like arrays of
 values.  The runtime:
@@ -7,12 +7,19 @@ values.  The runtime:
   homes aligned to the computation distribution (so an invocation's "own"
   element is home-local — the property the compiler's Home/Non-Home
   classification relies on);
-* executes parallel calls with the two-pass model of DESIGN.md: the *value
-  pass* runs one invocation per element under copy-in (phase-snapshot)
-  semantics while recording each invocation's shared accesses; the recorded
-  per-processor traces are then replayed on the machine for timing;
-* issues the compiler-placed directives (``begin_group`` / ``end_group`` /
-  ``flush``) around phase groups.
+* executes parallel calls as the *value pass* of DESIGN.md's two-pass
+  model: one invocation per element under copy-in (phase-snapshot)
+  semantics, recording each invocation's shared accesses and compute
+  charges into compact per-node columns (:class:`RecordedPhase`);
+* records the compiler-placed directives (``begin_group`` /
+  ``end_group``) around phase groups.
+
+A recording is kept at *aggregate level* — (aggregate slot, flat element
+index, kind) — so it does not depend on the block size; a
+:class:`Lowering` turns a recorded phase into the block-level
+:class:`~repro.tempest.machine.PhaseTrace` one machine replays.  The
+runtime runs on a :class:`RecordingMachine`, which only records; whole
+programs are replayed later by :mod:`repro.cstar.recording`.
 
 Invocation bodies receive an :class:`ElementContext` and use ``ctx.read`` /
 ``ctx.write`` for aggregate elements and ``ctx.charge`` for compute cost.
@@ -20,13 +27,16 @@ Invocation bodies receive an :class:`ElementContext` and use ``ctx.read`` /
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.tempest.machine import Machine, PhaseTrace
-from repro.tempest.tags import AccessTag
+from repro.tempest.addrspace import AddressSpace
+from repro.tempest.machine import PhaseTrace
+from repro.util.arith import left_sum
+from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError, SimulationError
 
 # --------------------------------------------------------------------------- #
@@ -103,6 +113,136 @@ class Tiled2D(Distribution):
 
 
 # --------------------------------------------------------------------------- #
+# the recorded access format
+# --------------------------------------------------------------------------- #
+
+#: an access packs into one integer code: ``flat << FLAT_SHIFT | slot << 1
+#: | kind`` (kind 0 = read, 1 = write); a compute op is the code COMPUTE and
+#: takes the next value of the node's charge column.  Codes are recorded as
+#: int64 and kept as int32 when a node's phase fits.
+SLOT_BITS = 8
+FLAT_SHIFT = SLOT_BITS + 1
+SLOT_MASK = (1 << SLOT_BITS) - 1
+COMPUTE = -1
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+class RecordedPhase:
+    """One parallel phase as the value pass recorded it.
+
+    Per node ``p``: ``codes[p]`` is the op stream in order (accesses and
+    COMPUTE markers) and ``charges[p]`` the compute ops' cycles in order.
+    ``agg`` / ``flat`` / ``kind`` (0 = read, 1 = write) and ``compute``
+    (each node's total charged cycles) are the analytical model's views of
+    the same columns; an access's position in its node's ``flat`` doubles
+    as the model's intra-phase time proxy.
+    """
+
+    __slots__ = ("name", "codes", "charges")
+
+    def __init__(self, name: str, codes: list[np.ndarray],
+                 charges: list[np.ndarray]) -> None:
+        self.name = name
+        self.codes = codes
+        self.charges = charges
+
+    def op_count(self) -> int:
+        return sum(len(c) for c in self.codes)
+
+    def access_count(self, node: int) -> int:
+        return int(np.count_nonzero(self.codes[node] != COMPUTE))
+
+    def accesses(self, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``node``'s (aggregate slot, flat index, kind) columns."""
+        codes = self.codes[node]
+        acc = codes[codes != COMPUTE].astype(np.int64)
+        return ((acc >> 1) & SLOT_MASK, acc >> FLAT_SHIFT,
+                (acc & 1).astype(np.uint8))
+
+    @property
+    def agg(self) -> list[np.ndarray]:
+        return [self.accesses(p)[0] for p in range(len(self.codes))]
+
+    @property
+    def flat(self) -> list[np.ndarray]:
+        return [self.accesses(p)[1] for p in range(len(self.codes))]
+
+    @property
+    def kind(self) -> list[np.ndarray]:
+        return [self.accesses(p)[2] for p in range(len(self.codes))]
+
+    @property
+    def compute(self) -> list[float]:
+        return [float(left_sum(c.tolist())) for c in self.charges]
+
+
+class Lowering:
+    """Block-level traces of recorded phases on one machine layout: region
+    bases and element strides per aggregate slot, and the block size.
+
+    An access becomes ``("r"|"w", block)`` with ``block = (base[slot] +
+    flat * stride[slot]) >> log2(block_size)`` — the block of the
+    element's first byte (with ``pad > 1`` an element may span blocks; its
+    first byte is the faulting access in practice).  A compute op becomes
+    ``("c", cycles)`` with its charge unchanged.  Every distinct op is one
+    tuple shared by all its occurrences — the access tuples of the first
+    ``n_blocks`` blocks are built once, a phase's compute tuples once per
+    distinct charge — so a lowered phase costs one list slot per op.
+    """
+
+    def __init__(self, agg_base: np.ndarray, agg_stride: np.ndarray,
+                 block_size: int, n_blocks: int) -> None:
+        self._base = agg_base
+        self._stride = agg_stride
+        self._shift = block_size.bit_length() - 1
+        self._n_keys = 2 * n_blocks
+        #: key ``block << 1 | kind`` -> ("r"|"w", block)
+        self._access_ops = np.fromiter(
+            (("w" if k & 1 else "r", k >> 1) for k in range(self._n_keys)),
+            dtype=object, count=self._n_keys)
+
+    def __call__(self, phase: RecordedPhase) -> PhaseTrace:
+        cycles, which = np.unique(np.concatenate(phase.charges),
+                                  return_inverse=True)
+        compute_ops = np.fromiter((("c", c) for c in cycles.tolist()),
+                                  dtype=object, count=len(cycles))
+        ops = []
+        done = 0  # compute ops of the previous nodes
+        for codes, charges in zip(phase.codes, phase.charges):
+            is_c = codes == COMPUTE
+            slot = np.where(is_c, 0, (codes >> 1) & SLOT_MASK)
+            keys = ((self._base[slot] + (codes >> FLAT_SHIFT) * self._stride[slot])
+                    >> self._shift) << 1 | (codes & 1)
+            keys[is_c] = 0
+            if len(keys) and keys.max() >= self._n_keys:
+                raise SimulationError(
+                    f"phase {phase.name!r} accesses a block past the "
+                    f"allocated address space")
+            node_ops = self._access_ops[keys]
+            node_ops[is_c] = compute_ops[which[done:done + len(charges)]]
+            done += len(charges)
+            ops.append(node_ops.tolist())
+        return PhaseTrace(phase.name, ops)
+
+
+def lowering_for(machine, agg_base: np.ndarray,
+                 agg_stride: np.ndarray) -> Lowering:
+    """The :class:`Lowering` for ``machine``'s block size, covering its
+    whole allocated address space."""
+    bs = machine.config.block_size
+    end = max((r.end for r in machine.addr_space.regions), default=0)
+    return Lowering(agg_base, agg_stride, bs, -(-end // bs))
+
+
+def _code_column(buf: array) -> np.ndarray:
+    """A node's finished code buffer, as int32 when every code fits."""
+    codes = np.frombuffer(buf, dtype=np.int64)
+    if len(codes) and codes.max() <= _INT32_MAX:
+        return codes.astype(np.int32)
+    return codes
+
+
+# --------------------------------------------------------------------------- #
 # aggregates
 # --------------------------------------------------------------------------- #
 
@@ -135,6 +275,8 @@ class Aggregate:
         self.dtype = dtype
         self.dist = dist
         dist.validate(self.shape)
+        #: C-contiguous, never reassigned: phase-end writes go through a
+        #: flat view of it
         self.data = np.zeros(self.shape, dtype=_DTYPES[dtype])
         #: bytes per element; C** aggregate elements are class instances, so
         #: an element may occupy more than one 8-byte value (pad models the
@@ -159,24 +301,29 @@ class Aggregate:
             def home_policy(page_idx: int, _n=machine.config.n_nodes) -> int:
                 return page_idx % _n
 
-        self.region = machine.addr_space.allocate(name, nbytes, home_policy)
-        # The home node of each block starts with the (writable) data.
-        first = machine.addr_space.block_of(self.region.base)
-        nblocks = self.region.size // machine.config.block_size
-        for b in range(first, first + nblocks):
-            machine.nodes[machine.home(b)].tags.set(b, AccessTag.READ_WRITE)
-        # hot-path precomputation: row-major strides and block arithmetic.
-        # An element (8 B) never straddles blocks: block_size >= 32 and the
-        # page-aligned region base is block-aligned.
+        self.slot = len(runtime.aggregates)
+        if self.slot > SLOT_MASK:
+            raise ConfigError(f"more than {SLOT_MASK + 1} aggregates")
+        self.region = machine.allocate(name, nbytes, home_policy)
+        # hot-path precomputation: the slot's access codes and row-major
+        # strides, with a rank-specialised bounds check for 1-D and 2-D
+        self._read_code = self.slot << 1
+        self._write_code = self._read_code | 1
         strides = []
         acc = 1
         for dim in reversed(self.shape):
             strides.append(acc)
             acc *= dim
         self._strides = tuple(reversed(strides))
-        self._nelems = acc
-        self._block_shift = machine.config.block_size.bit_length() - 1
-        self._base = self.region.base
+        if len(self.shape) == 1:
+            self._n0, = self.shape
+            self.flatten = self._flatten1
+        elif len(self.shape) == 2:
+            self._n0, self._n1 = self.shape
+            self.flatten = self._flatten2
+        #: the array reads observe during a phase (the phase-entry snapshot
+        #: or the live data); set by :meth:`CStarRuntime.par_call`
+        self._src: np.ndarray | None = None
 
     # -- layout ----------------------------------------------------------------
 
@@ -197,20 +344,22 @@ class Aggregate:
             flat += v * stride
         return flat
 
-    def element_block(self, idx: tuple[int, ...]) -> int:
-        """The cache block holding element ``idx`` (hot path).
+    def _flatten1(self, idx: tuple[int, ...]) -> int:
+        if len(idx) == 1:
+            i = idx[0]
+            if 0 <= i < self._n0:
+                return i
+        return Aggregate.flatten(self, idx)  # raises the error
 
-        With pad > 1 an element may span blocks; the trace records the block
-        of its first byte, which is the faulting access in practice."""
-        return (self._base + self.flatten(idx) * self.stride_bytes) >> self._block_shift
+    def _flatten2(self, idx: tuple[int, ...]) -> int:
+        if len(idx) == 2:
+            i, j = idx
+            if 0 <= i < self._n0 and 0 <= j < self._n1:
+                return i * self._n1 + j
+        return Aggregate.flatten(self, idx)  # raises the error
 
     def addr(self, idx: tuple[int, ...]) -> int:
         return self.region.base + self.flatten(idx) * self.stride_bytes
-
-    def blocks(self, idx: tuple[int, ...]) -> range:
-        return self.runtime.machine.addr_space.blocks_of_range(
-            self.addr(idx), self.stride_bytes
-        )
 
     def owner(self, idx: tuple[int, ...]) -> int:
         return self.dist.owner(idx)
@@ -233,16 +382,21 @@ class ElementContext:
 
     Reads observe the phase-entry snapshot (C**'s copy-in semantics make
     parallel execution nearly deterministic); writes are buffered and applied
-    at phase end.
+    at phase end.  Every access appends one code to the node's column;
+    pending compute is flushed as a COMPUTE op before the next access.
     """
 
-    __slots__ = ("runtime", "pos", "node", "_ops", "_pending")
+    __slots__ = ("runtime", "pos", "node", "_codes", "_charges", "_writes",
+                 "_pending")
 
-    def __init__(self, runtime: "CStarRuntime", pos: tuple[int, ...], node: int, ops: list):
+    def __init__(self, runtime: "CStarRuntime", pos: tuple[int, ...],
+                 node: int, codes: array, charges: array):
         self.runtime = runtime
         self.pos = pos
         self.node = node
-        self._ops = ops
+        self._codes = codes
+        self._charges = charges
+        self._writes = runtime._writes
         self._pending = 0.0
 
     def charge(self, cycles: float) -> None:
@@ -252,24 +406,26 @@ class ElementContext:
 
     def _flush_compute(self) -> None:
         if self._pending > 0:
-            self._ops.append(("c", self._pending))
+            self._codes.append(COMPUTE)
+            self._charges.append(self._pending)
             self._pending = 0.0
 
     def read(self, agg: Aggregate, idx: tuple[int, ...]) -> float:
         if self._pending > 0:
-            self._ops.append(("c", self._pending))
+            self._codes.append(COMPUTE)
+            self._charges.append(self._pending)
             self._pending = 0.0
-        self._ops.append(("r", agg.element_block(idx)))
-        snap = self.runtime._snapshot.get(agg.name)
-        arr = snap if snap is not None else agg.data
-        return arr[idx]
+        self._codes.append(agg.flatten(idx) << FLAT_SHIFT | agg._read_code)
+        return agg._src[idx]
 
     def write(self, agg: Aggregate, idx: tuple[int, ...], value) -> None:
         if self._pending > 0:
-            self._ops.append(("c", self._pending))
+            self._codes.append(COMPUTE)
+            self._charges.append(self._pending)
             self._pending = 0.0
-        self._ops.append(("w", agg.element_block(idx)))
-        self.runtime._writes.append((agg, tuple(int(i) for i in idx), value, False))
+        flat = agg.flatten(idx)
+        self._codes.append(flat << FLAT_SHIFT | agg._write_code)
+        self._writes.append((agg, flat, value, False))
 
     def update(self, agg: Aggregate, idx: tuple[int, ...], delta) -> None:
         """Read-modify-write accumulation (e.g. `force[j] += f`).
@@ -280,12 +436,14 @@ class ElementContext:
         read+write the protocol must serialize.
         """
         if self._pending > 0:
-            self._ops.append(("c", self._pending))
+            self._codes.append(COMPUTE)
+            self._charges.append(self._pending)
             self._pending = 0.0
-        block = agg.element_block(idx)
-        self._ops.append(("r", block))
-        self._ops.append(("w", block))
-        self.runtime._writes.append((agg, tuple(int(i) for i in idx), delta, True))
+        flat = agg.flatten(idx)
+        code = flat << FLAT_SHIFT | agg._read_code
+        self._codes.append(code)
+        self._codes.append(code | 1)
+        self._writes.append((agg, flat, delta, True))
 
 
 # --------------------------------------------------------------------------- #
@@ -296,18 +454,44 @@ class ElementContext:
 Body = Callable[[ElementContext], None]
 
 
+class RecordingMachine:
+    """Just enough machine for the value pass: a config, an address space,
+    and an event log of what a :class:`~repro.tempest.machine.Machine`
+    would have executed.
+
+    Region bases depend only on ``page_size`` and allocation order, so the
+    recording is valid for every block size; initial home ownership is
+    installed when the regions are allocated on the machine that replays
+    it.
+    """
+
+    def __init__(self, config: MachineConfig) -> None:
+        self.config = config
+        self.addr_space = AddressSpace(config)
+        #: ("begin_group", id) | ("end_group", None) | ("phase", RecordedPhase)
+        self.events: list[tuple] = []
+
+    def allocate(self, name: str, nbytes: int, home_policy):
+        return self.addr_space.allocate(name, nbytes, home_policy)
+
+    def begin_group(self, directive_id: int) -> None:
+        self.events.append(("begin_group", directive_id))
+
+    def end_group(self) -> None:
+        self.events.append(("end_group", None))
+
+    def run_phase(self, trace: RecordedPhase) -> None:
+        self.events.append(("phase", trace))
+
+
 class CStarRuntime:
-    """Executes data-parallel programs on a simulated machine."""
+    """Executes data-parallel programs' value pass on a
+    :class:`RecordingMachine`, which records each phase."""
 
-    #: per-invocation context class; ``repro.model`` substitutes a recording
-    #: subclass to capture aggregate-level access streams without a machine
-    context_factory = ElementContext
-
-    def __init__(self, machine: Machine):
+    def __init__(self, machine: RecordingMachine):
         self.machine = machine
         self.aggregates: dict[str, Aggregate] = {}
-        self._snapshot: dict[str, np.ndarray] = {}
-        self._writes: list[tuple[Aggregate, tuple[int, ...], object]] = []
+        self._writes: list[tuple[Aggregate, int, object, bool]] = []
         self.phase_count = 0
 
     # -- aggregate management --------------------------------------------------
@@ -336,6 +520,12 @@ class CStarRuntime:
         self.aggregates[name] = agg
         return agg
 
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot region base and element stride, in bytes."""
+        aggs = self.aggregates.values()
+        return (np.array([a.region.base for a in aggs], dtype=np.int64),
+                np.array([a.stride_bytes for a in aggs], dtype=np.int64))
+
     # -- directives --------------------------------------------------------------
 
     def begin_group(self, directive_id: int) -> None:
@@ -343,11 +533,6 @@ class CStarRuntime:
 
     def end_group(self) -> None:
         self.machine.end_group()
-
-    def flush_schedule(self, directive_id: int) -> None:
-        flush = getattr(self.machine.protocol, "flush_schedule", None)
-        if flush is not None:
-            flush(directive_id)
 
     # -- parallel invocation ---------------------------------------------------------
 
@@ -358,47 +543,55 @@ class CStarRuntime:
         snapshot_of: Sequence[Aggregate] = (),
         name: str = "parallel",
         elements=None,
-    ) -> PhaseTrace:
-        """Invoke ``body`` once per element of ``over`` (value pass), then
-        replay the recorded traces on the machine (timing pass).
+    ) -> RecordedPhase:
+        """Invoke ``body`` once per element of ``over`` (the value pass) and
+        hand the recorded phase to the machine.
 
         ``snapshot_of`` lists the aggregates whose phase-entry values reads
         must observe; ``over`` is always included.  ``elements`` restricts
         the invocation set (used by applications with active-element lists,
-        e.g. red-black sweeps).
+        e.g. red-black sweeps).  Returns the recorded phase.
         """
         n_nodes = self.machine.config.n_nodes
-        ops: list[list] = [[] for _ in range(n_nodes)]
+        codes = [array("q") for _ in range(n_nodes)]
+        charges = [array("d") for _ in range(n_nodes)]
 
-        snapshots = {over.name: over.data.copy()}
+        for agg in self.aggregates.values():
+            agg._src = agg.data
+        over._src = over.data.copy()
         for agg in snapshot_of:
-            snapshots.setdefault(agg.name, agg.data.copy())
-        self._snapshot = snapshots
-        self._writes = []
+            if agg._src is agg.data:
+                agg._src = agg.data.copy()
+        writes = self._writes = []
 
+        owner = over.dist.owner
         element_iter = elements if elements is not None else over.elements()
         for idx in element_iter:
-            idx = tuple(int(i) for i in idx)
-            node = over.owner(idx)
-            ctx = self.context_factory(self, idx, node, ops[node])
+            idx = tuple(map(int, idx))
+            node = owner(idx)
+            ctx = ElementContext(self, idx, node, codes[node], charges[node])
             body(ctx)
             ctx._flush_compute()
 
         # apply buffered writes (phase-end visibility)
-        for agg, idx, value, accumulate in self._writes:
+        views: dict[Aggregate, np.ndarray] = {}
+        for agg, flat, value, accumulate in writes:
+            view = views.get(agg)
+            if view is None:
+                view = views[agg] = agg.data.reshape(-1)
             if accumulate:
-                agg.data[idx] += value
+                view[flat] += value
             else:
-                agg.data[idx] = value
-        self._snapshot = {}
+                view[flat] = value
+        for agg in self.aggregates.values():
+            agg._src = None
         self._writes = []
 
         self.phase_count += 1
-        trace = PhaseTrace(f"{name}#{self.phase_count}", ops)
-        self.machine.run_phase(trace)
-        return trace
-
-    # -- finishing -----------------------------------------------------------------
-
-    def finish(self):
-        return self.machine.finish()
+        phase = RecordedPhase(
+            f"{name}#{self.phase_count}",
+            [_code_column(c) for c in codes],
+            [np.frombuffer(c, dtype=np.float64) for c in charges],
+        )
+        self.machine.run_phase(phase)
+        return phase

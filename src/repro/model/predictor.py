@@ -60,6 +60,7 @@ from repro.core.schedule import (
 from repro.model.layout import LayoutModel
 from repro.model.recording import ProgramRecording, record_program
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
+from repro.util.arith import left_sum
 from repro.util.config import MachineConfig
 from repro.util.errors import ConfigError, ProtocolError
 
@@ -384,7 +385,8 @@ class _Walker:
     def _walk_phase(self, ph) -> PhaseWalk:
         n = self.n
         compute = np.asarray(ph.compute, dtype=np.float64)
-        accesses = np.array([len(f) for f in ph.flat], dtype=np.int64)
+        accesses = np.array([ph.access_count(p) for p in range(n)],
+                            dtype=np.int64)
         read_misses = np.zeros(n, dtype=np.int64)
         write_misses = np.zeros(n, dtype=np.int64)
         coeff = np.zeros((n, 5), dtype=np.float64)
@@ -471,13 +473,13 @@ class _Walker:
         """
         cols_node, cols_block, cols_kind, cols_pos = [], [], [], []
         for node in range(self.n):
-            flat = ph.flat[node]
+            agg, flat, kind = ph.accesses(node)
             if len(flat) == 0:
                 continue
-            blocks = self.layout.blocks(ph.agg[node], flat)
+            blocks = self.layout.blocks(agg, flat)
             cols_node.append(np.full(len(flat), node, dtype=np.int64))
             cols_block.append(blocks)
-            cols_kind.append(ph.kind[node].astype(np.int64))
+            cols_kind.append(kind.astype(np.int64))
             cols_pos.append(np.arange(len(flat), dtype=np.int64))
         if not cols_node:
             return [], set(), [], np.zeros(self.n, dtype=np.float64)
@@ -757,7 +759,7 @@ def _assemble(walk: WalkResult, config: MachineConfig, alpha: float,
     def cycle_delta() -> dict[str, float]:
         delta: dict[str, float] = {}
         for c in TimeCategory:
-            total = sum(node.cycles[c] for node in stats.nodes)
+            total = left_sum(node.cycles[c] for node in stats.nodes)
             if total != marks[c]:
                 delta[c.value] = total - marks[c]
                 marks[c] = total

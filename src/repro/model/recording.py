@@ -1,12 +1,12 @@
 """Machine-free program recording (the model's front end).
 
-The simulator's two-pass execution (DESIGN.md §5.1) already separates
-numerics from timing: the *value pass* computes real values and records
-block-level access traces, and only the *timing pass* needs the machine.
-The model exploits that split — it runs the value pass once on a
-:class:`RecordingMachine` stand-in (real :class:`MachineConfig` + real
-:class:`AddressSpace`, no nodes, no engine) and keeps the access streams at
-*aggregate level* (aggregate, flat element index) rather than block level.
+The simulator's two-pass execution (DESIGN.md §5.1) separates numerics
+from timing: the *value pass* computes real values and records each
+phase's accesses at aggregate level (aggregate slot, flat element index),
+and only the *timing pass* needs the machine.  The model runs the value
+pass once on a :class:`RecordingMachine` stand-in (real
+:class:`MachineConfig` + real :class:`AddressSpace`, no nodes, no engine)
+and reads the recorded columns directly.
 
 Recording at aggregate level is what makes one recording serve a whole
 sweep: cache-block ids depend on ``block_size``, but region bases depend
@@ -15,146 +15,24 @@ only on ``page_size`` and declaration order, so
 any block size from the same recording.  Control flow (adaptive refinement
 thresholds, the Barnes tree) depends on computed *values*, never on timing
 or block size, so the recorded phase sequence is exact for every protocol,
-placement, and cost table evaluated against it.
+placement, and cost table evaluated against it.  The simulator's benchmark
+harness replays the same recordings (:func:`record`, uncached) for every
+bar of a figure that shares one.
 
-Recordings are cached per ``(app, build kwargs, variant, n_nodes,
-page_size)`` — the axes that change the value pass or the address map.
+:func:`record_program` caches recordings per ``(app, build kwargs,
+variant, n_nodes, page_size)`` — the axes that change the value pass or
+the address map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.cstar.driver import Env, execute
-from repro.cstar.runtime import CStarRuntime, ElementContext
-from repro.tempest.addrspace import AddressSpace
+from repro.cstar.driver import execute
+from repro.cstar.recording import ProgramRecording, recording_env
+from repro.cstar.runtime import RecordedPhase, RecordingMachine
 from repro.util.config import MachineConfig
 
-
-class _NullTags:
-    """Tag-table stand-in: aggregate allocation sets home tags we ignore."""
-
-    __slots__ = ()
-
-    def set(self, block: int, tag) -> None:
-        pass
-
-
-class _NullNode:
-    __slots__ = ("tags",)
-
-    def __init__(self) -> None:
-        self.tags = _NullTags()
-
-
-class RecordingMachine:
-    """Just enough machine for the value pass: config, address space, and an
-    event log where :class:`Machine` would have an engine."""
-
-    def __init__(self, config: MachineConfig) -> None:
-        self.config = config
-        self.addr_space = AddressSpace(config)
-        self.nodes = [_NullNode() for _ in range(config.n_nodes)]
-        #: ("begin_group", id) | ("end_group", None) | ("phase", PhaseTrace)
-        self.events: list[tuple] = []
-        self.protocol = None
-
-    def home(self, block: int) -> int:
-        return self.addr_space.home_of_block(block)
-
-    def begin_group(self, directive_id: int) -> None:
-        self.events.append(("begin_group", directive_id))
-
-    def end_group(self) -> None:
-        self.events.append(("end_group", None))
-
-    def run_phase(self, trace) -> None:
-        self.events.append(("phase", trace))
-
-
-class RecordingContext(ElementContext):
-    """Value-pass context that records ``(kind, aggregate, flat index)``.
-
-    Must keep the base class's two side effects intact: pending compute is
-    flushed into the op stream (COMPUTE cycles are part of the prediction)
-    and reads/writes go through real aggregate data (the value pass drives
-    application control flow).
-    """
-
-    __slots__ = ()
-
-    def read(self, agg, idx):
-        if self._pending > 0:
-            self._ops.append(("c", self._pending))
-            self._pending = 0.0
-        self._ops.append(("r", agg, agg.flatten(idx)))
-        snap = self.runtime._snapshot.get(agg.name)
-        arr = snap if snap is not None else agg.data
-        return arr[idx]
-
-    def write(self, agg, idx, value) -> None:
-        if self._pending > 0:
-            self._ops.append(("c", self._pending))
-            self._pending = 0.0
-        self._ops.append(("w", agg, agg.flatten(idx)))
-        self.runtime._writes.append((agg, tuple(int(i) for i in idx), value, False))
-
-    def update(self, agg, idx, delta) -> None:
-        if self._pending > 0:
-            self._ops.append(("c", self._pending))
-            self._pending = 0.0
-        flat = agg.flatten(idx)
-        self._ops.append(("r", agg, flat))
-        self._ops.append(("w", agg, flat))
-        self.runtime._writes.append((agg, tuple(int(i) for i in idx), delta, True))
-
-
-class RecordingRuntime(CStarRuntime):
-    context_factory = RecordingContext
-
-
-@dataclass
-class RecordedPhase:
-    """One parallel phase's access streams, finalized to numpy arrays.
-
-    Per node: ``agg[i]`` / ``flat[i]`` / ``kind[i]`` (0=read, 1=write) are
-    parallel arrays in op order; ``compute[i]`` is the node's total charged
-    compute cycles.  The op-order index doubles as the model's intra-phase
-    time proxy when ordering same-block events from different nodes.
-    """
-
-    name: str
-    agg: list[np.ndarray]
-    flat: list[np.ndarray]
-    kind: list[np.ndarray]
-    compute: list[float]
-
-    def access_count(self, node: int) -> int:
-        return len(self.flat[node])
-
-
-@dataclass
-class ProgramRecording:
-    """The full value-pass recording of one program build."""
-
-    key: tuple
-    n_nodes: int
-    page_size: int
-    #: per-aggregate layout constants, indexed by declaration order
-    agg_names: list[str]
-    agg_base: np.ndarray
-    agg_stride: np.ndarray
-    #: the recording machine's address space (home-policy closures are
-    #: valid for any block size: bases depend only on page_size)
-    addr_space: AddressSpace
-    #: ("begin_group", id) | ("end_group", None) | ("phase", RecordedPhase)
-    events: list[tuple]
-
-    def phases(self):
-        return [ev for kind, ev in self.events if kind == "phase"]
-
+__all__ = ["ProgramRecording", "RecordedPhase", "RecordingMachine",
+           "clear_cache", "record", "record_program", "recording_key"]
 
 _CACHE: dict[tuple, ProgramRecording] = {}
 
@@ -170,87 +48,37 @@ def recording_key(app, build_kwargs: dict | None, variant: str,
     )
 
 
-def record_program(app, build_kwargs: dict | None = None,
-                   variant: str = "cstar", *, n_nodes: int,
-                   page_size: int) -> ProgramRecording:
-    """Run the value pass once and return (or reuse) its recording.
+def record(app, build_kwargs: dict | None = None, variant: str = "cstar",
+           *, n_nodes: int, page_size: int) -> ProgramRecording:
+    """Build ``app`` and run its value pass once (not cached).
 
-    Mirrors ``EmbeddedProgram.run(machine, optimized=True)``: the compiled
-    (placed) flow tree is executed so group boundaries and directive ids
-    match the simulator's optimized runs; unoptimized evaluation simply
-    ignores the group events (the phase sequence is identical — placement
-    only wraps phases in FlowGroups).
+    Executes the compiled (placed) flow tree, as
+    ``EmbeddedProgram.run(machine, optimized=True)`` does, so group
+    boundaries and directive ids match the simulator's optimized runs;
+    unoptimized evaluation simply ignores the group events (the phase
+    sequence is identical — placement only wraps phases in FlowGroups).
     """
-    key = recording_key(app, build_kwargs, variant, n_nodes, page_size)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-
     kwargs = dict(build_kwargs or {})
     if variant != "cstar":
         kwargs["variant"] = variant
     prog = app.build(**kwargs)
-    config = MachineConfig(n_nodes=n_nodes, page_size=page_size)
-    machine = RecordingMachine(config)
-    runtime = RecordingRuntime(machine)
-    env = Env(runtime=runtime, params={})
+    env = recording_env(MachineConfig(n_nodes=n_nodes, page_size=page_size))
     prog.setup(env)
-    root = prog.compile().root
-    execute(root, env)
-
-    rec = _finalize(key, machine, runtime)
-    _CACHE[key] = rec
-    return rec
+    execute(prog.compile().root, env)
+    key = recording_key(app, build_kwargs, variant, n_nodes, page_size)
+    return ProgramRecording.of(prog, env, key)
 
 
-def _finalize(key: tuple, machine: RecordingMachine,
-              runtime: RecordingRuntime) -> ProgramRecording:
-    agg_names = list(runtime.aggregates)
-    agg_index = {name: i for i, name in enumerate(agg_names)}
-    aggs = [runtime.aggregates[n] for n in agg_names]
-    agg_base = np.array([a.region.base for a in aggs], dtype=np.int64)
-    agg_stride = np.array([a.stride_bytes for a in aggs], dtype=np.int64)
-
-    events: list[tuple] = []
-    for kind, payload in machine.events:
-        if kind != "phase":
-            events.append((kind, payload))
-            continue
-        agg: list[np.ndarray] = []
-        flat: list[np.ndarray] = []
-        opk: list[np.ndarray] = []
-        compute: list[float] = []
-        for ops in payload.ops:
-            a: list[int] = []
-            f: list[int] = []
-            k: list[int] = []
-            c = 0.0
-            for op in ops:
-                tag = op[0]
-                if tag == "c":
-                    c += op[1]
-                else:
-                    a.append(agg_index[op[1].name])
-                    f.append(op[2])
-                    k.append(0 if tag == "r" else 1)
-            agg.append(np.array(a, dtype=np.int64))
-            flat.append(np.array(f, dtype=np.int64))
-            opk.append(np.array(k, dtype=np.uint8))
-            compute.append(c)
-        events.append(("phase", RecordedPhase(
-            name=payload.name, agg=agg, flat=flat, kind=opk, compute=compute,
-        )))
-
-    return ProgramRecording(
-        key=key,
-        n_nodes=machine.config.n_nodes,
-        page_size=machine.config.page_size,
-        agg_names=agg_names,
-        agg_base=agg_base,
-        agg_stride=agg_stride,
-        addr_space=machine.addr_space,
-        events=events,
-    )
+def record_program(app, build_kwargs: dict | None = None,
+                   variant: str = "cstar", *, n_nodes: int,
+                   page_size: int) -> ProgramRecording:
+    """:func:`record`, cached per :func:`recording_key` for the model."""
+    key = recording_key(app, build_kwargs, variant, n_nodes, page_size)
+    hit = _CACHE.get(key)
+    if hit is None:
+        hit = _CACHE[key] = record(app, build_kwargs, variant,
+                                   n_nodes=n_nodes, page_size=page_size)
+    return hit
 
 
 def clear_cache() -> None:

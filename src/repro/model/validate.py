@@ -33,6 +33,7 @@ import time
 
 from repro.model.calibrate import Calibration, default_calibration
 from repro.model.predictor import predict
+from repro.util.arith import left_sum
 from repro.util.errors import ReproError
 
 VALIDATION_SCHEMA = "repro.model-validation/v1"
@@ -239,7 +240,7 @@ def _grid_shape(sim_doc: dict, model_doc: dict) -> dict:
     return {
         "points": len(sim_walls),
         "max_wall_err": round(max(errs), 9) if errs else 0.0,
-        "mean_wall_err": (round(sum(errs) / len(errs), 9) if errs else 0.0),
+        "mean_wall_err": (round(left_sum(errs) / len(errs), 9) if errs else 0.0),
         "ordering_agreement": (round(agree / total, 9) if total else 1.0),
     }
 

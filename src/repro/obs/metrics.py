@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+from repro.util.arith import left_sum
+
 METRICS_SCHEMA = "repro.metrics/v1"
 
 #: default histogram bucket upper bounds (exponential, cycles-flavoured)
@@ -212,8 +214,8 @@ class MetricsRegistry:
 
     def total(self, name: str) -> float:
         """Sum of a counter's value across all label sets."""
-        return sum(m.value for _, m in self.series(name)
-                   if isinstance(m, Counter))
+        return left_sum(m.value for _, m in self.series(name)
+                        if isinstance(m, Counter))
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -19,6 +19,8 @@ import enum
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Mapping
 
+from repro.util.arith import left_sum
+
 
 class TimeCategory(enum.Enum):
     COMPUTE = "compute"
@@ -63,7 +65,7 @@ class NodeStats:
 
     @property
     def total(self) -> float:
-        return sum(self.cycles.values())
+        return left_sum(self.cycles.values())
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -155,7 +157,7 @@ class RunStats:
     # -- summaries ------------------------------------------------------------
 
     def mean(self, category: TimeCategory) -> float:
-        return sum(n.cycles[category] for n in self.nodes) / len(self.nodes)
+        return left_sum(n.cycles[category] for n in self.nodes) / len(self.nodes)
 
     def totals(self) -> dict[TimeCategory, float]:
         return {c: self.mean(c) for c in TimeCategory}
@@ -212,7 +214,7 @@ class RunStats:
 
     @property
     def downtime(self) -> float:
-        return sum(n.cycles[TimeCategory.DOWNTIME] for n in self.nodes)
+        return left_sum(n.cycles[TimeCategory.DOWNTIME] for n in self.nodes)
 
     def check_conservation(self, tol: float = 1e-6) -> None:
         """Assert each node's category cycles sum to wall time.
@@ -244,7 +246,7 @@ class RunStats:
         """
         phase_totals = self.phase_category_totals()
         for c in TimeCategory:
-            node_total = sum(n.cycles[c] for n in self.nodes)
+            node_total = left_sum(n.cycles[c] for n in self.nodes)
             phase_total = phase_totals.get(c.value, 0.0)
             if abs(node_total - phase_total) > tol * max(1.0, node_total):
                 raise AssertionError(

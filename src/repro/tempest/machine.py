@@ -27,9 +27,11 @@ from typing import Protocol as TypingProtocol, Sequence
 from repro.obs.events import EventKind, NULL_TRACER, Tracer
 from repro.sim.engine import Engine
 from repro.sim.stats import PhaseBreakdown, RunStats, TimeCategory
-from repro.tempest.addrspace import AddressSpace
+from repro.tempest.addrspace import AddressSpace, HomePolicy, Region
 from repro.tempest.network import Message, Network
 from repro.tempest.node import Node
+from repro.tempest.tags import AccessTag
+from repro.util.arith import left_sum
 from repro.util.config import MachineConfig
 from repro.util.errors import SimulationError
 
@@ -392,6 +394,16 @@ class Machine:
     def home(self, block: int) -> int:
         return self.addr_space.home_of_block(block)
 
+    def allocate(self, name: str, nbytes: int,
+                 home_policy: HomePolicy | None = None) -> Region:
+        """Allocate a shared region; every block of it starts writable at
+        its home node, which holds the initial data."""
+        region = self.addr_space.allocate(name, nbytes, home_policy)
+        first = self.addr_space.block_of(region.base)
+        for b in range(first, first + region.size // self.config.block_size):
+            self.nodes[self.home(b)].tags.set(b, AccessTag.READ_WRITE)
+        return region
+
     def node(self, i: int) -> Node:
         return self.nodes[i]
 
@@ -665,7 +677,7 @@ class Machine:
         """
         delta: dict[str, float] = {}
         for c in TimeCategory:
-            total = sum(node.stats.cycles[c] for node in self.nodes)
+            total = left_sum(node.stats.cycles[c] for node in self.nodes)
             if total != self._phase_cycle_marks[c]:
                 delta[c.value] = total - self._phase_cycle_marks[c]
                 self._phase_cycle_marks[c] = total

@@ -30,7 +30,6 @@ from typing import Iterable
 
 from repro.sim.stats import RunStats
 from repro.tempest.machine import Machine, PhaseTrace
-from repro.tempest.tags import AccessTag
 from repro.util.errors import SimulationError
 
 #: session event types
@@ -105,14 +104,10 @@ def restore_regions(machine: Machine, regions: list[dict]) -> None:
     """Recreate recorded regions (and initial home ownership) on a machine."""
     for spec in regions:
         homes = spec["homes"]
-        region = machine.addr_space.allocate(
+        machine.allocate(
             spec["name"], spec["size"],
             home_policy=lambda p, homes=homes: homes[min(p, len(homes) - 1)],
         )
-        first = machine.addr_space.block_of(region.base)
-        nblocks = region.size // machine.config.block_size
-        for b in range(first, first + nblocks):
-            machine.nodes[machine.home(b)].tags.set(b, AccessTag.READ_WRITE)
 
 
 def replay_session(

@@ -5,6 +5,7 @@ These helpers are deliberately dependency-light; every other subpackage of
 the rest of the package.
 """
 
+from repro.util.arith import left_sum
 from repro.util.config import MachineConfig, CM5_DEFAULTS
 from repro.util.errors import (
     ReproError,
@@ -31,4 +32,5 @@ __all__ = [
     "BitVector",
     "format_table",
     "format_bar_chart",
+    "left_sum",
 ]

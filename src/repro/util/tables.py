@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.util.arith import left_sum
+
 
 def format_table(
     headers: Sequence[str],
@@ -79,7 +81,7 @@ def format_bar_chart(
         for c in parts:
             if c not in categories:
                 categories.append(c)
-    totals = [sum(parts.values()) for _, parts in bars]
+    totals = [left_sum(parts.values()) for _, parts in bars]
     max_total = max(totals)
     min_total = min(t for t in totals if t > 0) if any(totals) else 1.0
     scale = width / max_total if (normalize and max_total > 0) else 1.0

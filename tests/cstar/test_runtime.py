@@ -1,12 +1,12 @@
-"""Tests for aggregates, distributions, and trace-capturing parallel calls."""
+"""Tests for aggregates, distributions, and recording parallel calls."""
 
 import numpy as np
 import pytest
 
 from repro.core import make_machine
+from repro.cstar.recording import ProgramRecording, recording_env, replay
 from repro.cstar.runtime import (
     Block1D,
-    CStarRuntime,
     RowBlock2D,
     Tiled2D,
     ELEMENT_SIZE,
@@ -15,8 +15,13 @@ from repro.util import ConfigError, MachineConfig, SimulationError
 
 
 @pytest.fixture
-def rt():
-    return CStarRuntime(make_machine(MachineConfig(n_nodes=4), "stache"))
+def env():
+    return recording_env(MachineConfig(n_nodes=4))
+
+
+@pytest.fixture
+def rt(env):
+    return env.runtime
 
 
 class TestDistributions:
@@ -82,9 +87,9 @@ class TestAggregates:
         """A page's home is the owner of its first element, so own-element
         accesses are home-local."""
         a = rt.aggregate("a", (512,))  # 4096 bytes = 1 page per 512 elements
-        m = rt.machine
-        blk = m.addr_space.block_of(a.addr((0,)))
-        assert m.home(blk) == a.owner((0,))
+        space = rt.machine.addr_space
+        blk = space.block_of(a.addr((0,)))
+        assert space.home_of_block(blk) == a.owner((0,))
 
 
 class TestParCall:
@@ -120,9 +125,14 @@ class TestParCall:
             seen_nodes.append(ctx.node)
             ctx.write(a, ctx.pos, 0.0)
 
-        trace = rt.par_call(body, over=a)
+        phase = rt.par_call(body, over=a)
         assert sorted(set(seen_nodes)) == [0, 1, 2, 3]
-        assert all(len(ops) > 0 for ops in trace.ops)
+        for node in range(4):
+            agg, flat, kind = phase.accesses(node)
+            assert list(agg) == [0, 0]
+            assert list(flat) == [2 * node, 2 * node + 1]
+            assert list(kind) == [1, 1]
+        assert rt.machine.events == [("phase", phase)]
 
     def test_compute_charges_recorded(self, rt):
         a = rt.aggregate("a", (4,))
@@ -131,9 +141,10 @@ class TestParCall:
             ctx.charge(10)
             ctx.write(a, ctx.pos, 0.0)
 
-        trace = rt.par_call(body, over=a)
-        flat = [op for ops in trace.ops for op in ops]
-        assert ("c", 10.0) in flat or ("c", 10) in flat
+        phase = rt.par_call(body, over=a)
+        assert [list(c) for c in phase.charges] == [[10.0]] * 4
+        assert phase.compute == [10.0] * 4
+        assert phase.op_count() == 8  # one compute op + one write per node
 
     def test_elements_restriction(self, rt):
         a = rt.aggregate("a", (8,))
@@ -145,16 +156,25 @@ class TestParCall:
         rt.par_call(body, over=a, elements=[(0,), (3,)])
         assert list(a.data) == [9.0, 5.0, 5.0, 9.0, 5.0, 5.0, 5.0, 5.0]
 
-    def test_timing_accumulates_across_phases(self, rt):
-        a = rt.aggregate("a", (8,))
+    def test_timing_accumulates_across_phases(self):
+        def record(n_phases):
+            env = recording_env(MachineConfig(n_nodes=4))
+            a = env.runtime.aggregate("a", (8,))
 
-        def body(ctx):
-            ctx.charge(100)
-            ctx.write(a, ctx.pos, 1.0)
+            def body(ctx):
+                ctx.charge(100)
+                ctx.write(a, ctx.pos, 1.0)
 
-        rt.par_call(body, over=a)
-        t1 = rt.machine.clock
-        rt.par_call(body, over=a)
-        assert rt.machine.clock > t1
-        stats = rt.finish()
-        stats.check_conservation()
+            for _ in range(n_phases):
+                env.runtime.par_call(body, over=a)
+            return ProgramRecording.of(None, env)
+
+        clocks = []
+        for n_phases in (1, 2):
+            recording = record(n_phases)
+            assert len(recording.phases()) == n_phases
+            machine = make_machine(MachineConfig(n_nodes=4), "stache")
+            stats = replay(recording, machine).finish()
+            stats.check_conservation()
+            clocks.append(machine.clock)
+        assert 0 < clocks[0] < clocks[1]

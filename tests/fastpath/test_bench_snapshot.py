@@ -121,6 +121,30 @@ def test_remeasurement_keeps_the_best_row():
     assert perf.compare_snapshots(committed, best) == []
 
 
+def test_gate_flags_value_pass_slowdown():
+    def doc(norm_valuepass):
+        d = _doc({"water": 30.0})
+        d["workloads"][0]["norm_valuepass"] = norm_valuepass
+        return d
+
+    committed = doc(20.0)
+    first = doc(25.0)  # simulator flat, value pass +25%
+    (problem,) = perf.compare_snapshots(committed, first, tolerance=0.15)
+    assert "value-pass" in problem and "20 -> 25" in problem
+    # a re-measurement keeps the best value-pass time too
+    best = perf.best_of(first, doc(21.0))
+    assert best["workloads"][0]["norm_valuepass"] == 21.0
+    assert perf.compare_snapshots(committed, best) == []
+
+
+def test_committed_app_rows_gate_the_value_pass():
+    doc = perf.load_snapshot(json.loads(
+        (REPO_ROOT / "benchmarks" / perf.SNAPSHOT_NAME).read_text()))
+    for row in doc["workloads"]:
+        if row["app"] != perf.MICROBENCH:
+            assert 0 < row["norm_valuepass"] <= row["norm_total"]
+
+
 def test_gate_ignores_unknown_and_missing_workloads():
     committed = _doc({"water": 30.0})
     measured = _doc({"barnes": 100.0})  # new case: no baseline to gate on
