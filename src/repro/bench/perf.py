@@ -48,6 +48,16 @@ SNAPSHOT_NAME = "BENCH_sim.json"
 #: synthetic pseudo-app label for the engine microbenchmark
 MICROBENCH = "microbench/lockstep"
 
+#: pseudo-app label for the verification case: one fuzz campaign
+#: (:func:`repro.verify.fuzz.fuzz` with ``build_kwargs``: tie-break explorer,
+#: invariant monitor, differential oracle, shrinking).  Its row's ``events``
+#: counts the monitored runs and ``wall_cycles`` their simulated node cycles.
+FUZZ = "verify/fuzz"
+
+#: cases that build no app: no value pass (no ``norm_valuepass`` column)
+#: and no corpus key
+PSEUDO_APPS = (MICROBENCH, FUZZ)
+
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -91,6 +101,8 @@ def _figure_cases() -> list[BenchCase]:
                   32, dict(WATER_KW, iterations=2), "quick"),
         BenchCase(MICROBENCH + " quick", MICROBENCH, "predictive", True, 32,
                   dict(ops=20_000), "quick"),
+        BenchCase(FUZZ + " quick", FUZZ, "all", False, 32, dict(seeds=20),
+                  "quick"),
     ]
     return full + quick
 
@@ -183,7 +195,7 @@ class CaseResult:
     norm_valuepass: float
     wall_cycles: float
     events: int
-    stats: RunStats
+    metrics: MetricsRegistry
 
 
 def _run_microbench(case: BenchCase) -> tuple[float, RunStats, int]:
@@ -201,6 +213,20 @@ def _run_microbench(case: BenchCase) -> tuple[float, RunStats, int]:
     elapsed = time.perf_counter() - t0
     stats = machine.finish()
     return elapsed, stats, machine.engine.total_dispatched
+
+
+def _run_fuzz(case: BenchCase) -> tuple[float, MetricsRegistry, float, int]:
+    """One fuzz campaign; returns (seconds, metrics, node cycles, runs)."""
+    from repro.verify.fuzz import fuzz
+
+    t0 = time.perf_counter()
+    report = fuzz(**case.build_kwargs)
+    elapsed = time.perf_counter() - t0
+    if not report.ok:
+        raise SimulationError(
+            f"{case.label!r} found violations:\n{report.summary()}")
+    return elapsed, report.metrics, report.metrics.total("node.cycles"), \
+        report.runs
 
 
 def _run_app(case: BenchCase, warm=None) -> tuple[float, float, RunStats, int]:
@@ -255,25 +281,33 @@ def run_case(case: BenchCase, repeats: int = 3, warm=None) -> CaseResult:
     best_k = kernel_seconds()
     first = None
     for _ in range(max(1, repeats)):
-        if case.app == MICROBENCH:
-            elapsed, stats, events = _run_microbench(case)
-            sim_s = total_s = elapsed
+        if case.app == FUZZ:
+            sim_s, metrics, wall, events = _run_fuzz(case)
+            total_s = sim_s
+        elif case.app == MICROBENCH:
+            sim_s, stats, events = _run_microbench(case)
+            total_s, wall = sim_s, stats.wall_time
         else:
             sim_s, total_s, stats, events = _run_app(case, warm=warm)
+            wall = stats.wall_time
         if first is None:
-            first = (stats.wall_time, events)
-        elif (stats.wall_time, events) != first:
+            first = (wall, events)
+        elif (wall, events) != first:
             raise SimulationError(
                 f"repeats of {case.label!r} diverged: wall/events {first} "
-                f"vs {(stats.wall_time, events)}"
+                f"vs {(wall, events)}"
             )
         best_sim = min(best_sim, sim_s)
         best_total = min(best_total, total_s)
         best_vp = min(best_vp, total_s - sim_s)
         best_k = min(best_k, kernel_seconds())
+    if case.app != FUZZ:
+        metrics = registry_from_run(stats, bench=case.label,
+                                    protocol=case.protocol,
+                                    block_size=case.block_size)
     return CaseResult(case, best_sim, best_total, best_sim / best_k,
                       best_total / best_k, best_k, best_vp, best_vp / best_k,
-                      stats.wall_time, events, stats)
+                      wall, events, metrics)
 
 
 # One farm job = one timed case; the payload is plain JSON.  Host timings
@@ -317,10 +351,7 @@ def bench_case_job(spec: dict) -> dict:
         "norm_valuepass": result.norm_valuepass,
         "wall_cycles": result.wall_cycles,
         "events": result.events,
-        "metrics": registry_from_run(
-            result.stats, bench=case.label, protocol=case.protocol,
-            block_size=case.block_size,
-        ).to_dict(),
+        "metrics": result.metrics.to_dict(),
     }
 
 
@@ -339,7 +370,7 @@ def measure(cases, repeats: int = 3, jobs: int = 1, tracer=None,
         from repro.corpus import bench_key, supports_warm
 
         for case, spec in zip(cases, specs):
-            if case.app == MICROBENCH or not supports_warm(case.protocol):
+            if case.app in PSEUDO_APPS or not supports_warm(case.protocol):
                 continue
             cfg = _case_config(case)
             entry = corpus.lookup(
@@ -380,7 +411,7 @@ def snapshot(payloads, repeats: int) -> dict:
         row.update({k: p[k] for k in (
             "sim_seconds", "total_seconds", "norm_sim", "norm_total",
             "wall_cycles", "events")})
-        if row["app"] != MICROBENCH:
+        if row["app"] not in PSEUDO_APPS:
             row.update({k: p[k] for k in ("valuepass_seconds",
                                           "norm_valuepass")})
         rows.append(row)

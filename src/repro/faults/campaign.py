@@ -33,7 +33,7 @@ from repro.faults.plan import (
     save_plan,
 )
 from repro.obs.metrics import MetricsRegistry, registry_from_run
-from repro.tempest.tracefile import load_session
+from repro.tempest.tracefile import load_session, session_node_count
 from repro.util.config import MachineConfig
 from repro.util.errors import TransportTimeout
 from repro.verify.monitor import CoherenceViolation
@@ -208,7 +208,7 @@ def shrink_events(
 
 def _load_trace_workload(path: Path) -> Workload:
     events, regions = load_session(path)
-    n_nodes = next(len(ev[1].ops) for ev in events if ev[0] == "phase")
+    n_nodes = session_node_count(events, path)
     cfg = MachineConfig(n_nodes=n_nodes, block_size=32, page_size=128)
     return Workload(seed=-1, config=cfg, events=events, regions=regions,
                     protocols=tuple(ALL_PROTOCOLS))

@@ -260,21 +260,6 @@ class Engine:
             self.obs.emit("engine.run", self.now, dispatched=dispatched)
         return dispatched
 
-    def _step_entry(self, entry) -> None:
-        """Dispatch one step entry through ``proc.step`` (no fusion)."""
-        proc, inc = entry
-        if inc >= 0:
-            ctl = proc.machine.crash_controller
-            nid = proc._nid
-            if nid in ctl.down or ctl.incarnations[nid] != inc:
-                return  # stale incarnation: counted, does nothing
-        horizon = self.peek_time()
-        r = proc.step(horizon if horizon is not None else inf)
-        if r is not None:
-            # re-yield: same entry, next seq
-            self._seq += 1
-            self._append(r, entry)
-
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Dispatch events in (time, seq) order until the queue empties.
 

@@ -32,6 +32,10 @@ class TimeCategory(enum.Enum):
     #: the four categories above) is unchanged there
     DOWNTIME = "downtime"
 
+    #: members are singletons, so identity hashing is exact; it skips the
+    #: Python-level ``Enum.__hash__`` on every per-category dict update
+    __hash__ = object.__hash__
+
 
 @dataclass
 class NodeStats:

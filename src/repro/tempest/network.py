@@ -25,7 +25,7 @@ from repro.util.config import MachineConfig
 from repro.util.errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One protocol message in flight."""
 

@@ -94,7 +94,15 @@ class TagTable:
         """Blocks holding a valid ``tag``, in ascending block order (crash
         recovery and the invariant monitor walk the result)."""
         v = int(tag)
-        return [b for b, byte in enumerate(self._data) if byte == v and v]
+        if not v or not self._count:
+            return []
+        find = self._data.find
+        out = []
+        b = find(v)
+        while b >= 0:
+            out.append(b)
+            b = find(v, b + 1)
+        return out
 
     def items(self):
         """Yield ``(block, tag)`` for non-INVALID blocks, ascending."""

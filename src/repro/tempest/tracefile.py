@@ -100,6 +100,20 @@ def load_session(path) -> tuple[list[Event], list[dict]]:
     return events, regions
 
 
+def session_node_count(events: list[Event], path) -> int:
+    """Node count a session was recorded on: the width of its first phase.
+
+    Raises :class:`SimulationError` naming ``path`` (where the session was
+    loaded from) when the session holds no phase to take it from.
+    """
+    for ev in events:
+        if ev[0] == "phase":
+            return len(ev[1].ops)
+    raise SimulationError(
+        f"session {path} holds no phase events, so its node count is unknown"
+    )
+
+
 def restore_regions(machine: Machine, regions: list[dict]) -> None:
     """Recreate recorded regions (and initial home ownership) on a machine."""
     for spec in regions:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from repro.farm.jobs import derive_seed
 from repro.obs.metrics import MetricsRegistry, registry_from_run
-from repro.tempest.tracefile import load_session
+from repro.tempest.tracefile import load_session, session_node_count
 from repro.util.config import MachineConfig
 from repro.verify.interleave import ReplayPolicy, SeededRandomPolicy, explore_dfs
 from repro.verify.monitor import CoherenceViolation
@@ -388,7 +388,7 @@ def verify_trace_file(
     ``seeds_per_protocol`` seeded-random interleavings, all monitored.
     """
     events, regions = load_session(path)
-    n_nodes = next(len(ev[1].ops) for ev in events if ev[0] == "phase")
+    n_nodes = session_node_count(events, path)
     cfg = config or MachineConfig(n_nodes=n_nodes, block_size=32, page_size=128)
     report = FuzzReport(protocols=tuple(protocols))
     t0 = time.perf_counter()

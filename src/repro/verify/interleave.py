@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappop
+from math import inf
 from typing import Callable, Iterator
 
 from repro.sim.engine import Engine, Event, _livelock
@@ -135,35 +136,70 @@ class ExplorerEngine(Engine):
             return super().run(until=until, max_events=max_events)
         max_events = self._enter_run(max_events)
         dispatched = 0
+        limit = (1 << 62) if max_events is None else max_events
         slots, times = self._slots, self._times
+        slots_get = slots.get
+        pick = policy.pick
         try:
             while True:
-                t = self._peek_future()
-                if t is None:
+                # inline _peek_future: the earliest slot holding a live
+                # entry is the frontier; it is rebuilt only when it holds a
+                # cancelled event, so every entry left in it is live
+                while times:
+                    t = times[0]
+                    frontier = slots_get(t)
+                    if frontier is not None:
+                        for e in frontier:
+                            if type(e) is not tuple and e.cancelled:
+                                frontier = slots[t] = [
+                                    e for e in frontier
+                                    if type(e) is tuple or not e.cancelled]
+                                break
+                        if frontier:
+                            break
+                        del slots[t]
+                    heappop(times)
+                else:
                     if until is not None and self.now < until:
                         self.now = until
                     break
                 if until is not None and t > until:
                     break
-                frontier = [e for e in slots[t]
-                            if type(e) is tuple or not e.cancelled]
-                chosen = frontier.pop(policy.pick(frontier))
-                if frontier:
-                    slots[t] = frontier
-                else:
+                chosen = frontier.pop(pick(frontier) if len(frontier) > 1 else 0)
+                if not frontier:
                     del slots[t]
                     heappop(times)
                 self.now = t
                 if type(chosen) is tuple:
-                    self._step_entry(chosen)
+                    proc, inc = chosen
+                    live = True
+                    if inc >= 0:
+                        ctl = proc.machine.crash_controller
+                        nid = proc._nid
+                        # a stale incarnation is counted and does nothing
+                        live = nid not in ctl.down and ctl.incarnations[nid] == inc
+                    if live:
+                        # the frontier's live remainder dispatches at t;
+                        # otherwise the horizon is the next live slot
+                        if frontier:
+                            horizon = t
+                        else:
+                            horizon = self._peek_future()
+                            if horizon is None:
+                                horizon = inf
+                        r = proc.step(horizon)
+                        if r is not None:
+                            # re-yield: same entry, next seq
+                            self._seq += 1
+                            self._append(r, chosen)
                 else:
                     chosen.fn()
                 dispatched += 1
-                self._dispatched += 1
-                if max_events is not None and dispatched >= max_events:
+                if dispatched >= limit:
                     raise _livelock(max_events)
         finally:
             self._running = False
+            self._dispatched += dispatched
         return self._exit_run(dispatched)
 
 

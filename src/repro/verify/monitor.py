@@ -259,82 +259,104 @@ class InvariantMonitor:
 
     def _check_tags_vs_directory(self, machine: "Machine", phase: str,
                                  prof: InvariantProfile) -> None:
-        # Gather per-block holders from the authoritative tag tables.
-        readers: dict[int, set[int]] = {}
-        writers: dict[int, set[int]] = {}
+        # Per-block holder masks from the authoritative tag tables, packed
+        # into one int per block: reader nodes in the low n bits, writer
+        # nodes in the n bits above them.
+        n = len(machine.nodes)
+        low = (1 << n) - 1
+        held: dict[int, int] = {}
+        get = held.get
         for node in machine.nodes:
-            for block in node.tags.blocks_with_tag(AccessTag.READ_ONLY):
-                readers.setdefault(block, set()).add(node.id)
-            for block in node.tags.blocks_with_tag(AccessTag.READ_WRITE):
-                writers.setdefault(block, set()).add(node.id)
+            rbit = 1 << node.id
+            wbit = rbit << n
+            tags = node.tags
+            for block in tags.blocks_with_tag(AccessTag.READ_ONLY):
+                held[block] = get(block, 0) | rbit
+            for block in tags.blocks_with_tag(AccessTag.READ_WRITE):
+                held[block] = get(block, 0) | wbit
+        coexist = prof.home_writer_may_coexist
+        home = machine.home
 
-        # single-writer / multi-reader
-        for block in set(readers) | set(writers):
-            ws = writers.get(block, set())
-            rs = readers.get(block, set())
-            home = machine.home(block)
-            if len(ws) > 1:
+        # single-writer / multi-reader, lowest offending block first
+        for block in sorted(held):
+            m = held[block]
+            ws = m >> n
+            if not ws:
+                continue
+            if ws & (ws - 1):
                 self._raise(machine, phase, "single-writer",
-                            f"block {block}: multiple writable copies at nodes {sorted(ws)}")
-            if ws and rs:
-                coexist_ok = prof.home_writer_may_coexist and ws == {home}
-                if not coexist_ok:
-                    self._raise(
-                        machine, phase, "single-writer",
-                        f"block {block}: writable copy at {sorted(ws)} coexists "
-                        f"with readable copies at {sorted(rs)}")
+                            f"block {block}: multiple writable copies at "
+                            f"nodes {_nodes(ws)}")
+            if m & low and not (coexist and ws == 1 << home(block)):
+                self._raise(machine, phase, "single-writer",
+                            f"block {block}: writable copy at {_nodes(ws)} "
+                            f"coexists with readable copies at "
+                            f"{_nodes(m & low)}")
 
         directory = getattr(machine.protocol, "directory", None)
         if directory is None:
             return
 
-        # directory state -> exact tag pattern
-        tracked: set[int] = set()
+        # directory state -> exact tag pattern; popping each tracked block
+        # leaves ``held`` holding exactly the untracked blocks
+        shared_states = prof.shared_states
         for entry in directory.known():
-            block, home = entry.block, entry.home
-            tracked.add(block)
-            rs = readers.get(block, set())
-            ws = writers.get(block, set())
-            if entry.state == DirState.IDLE:
-                if (rs | ws) - {home}:
+            m = held.pop(entry.block, 0)
+            rs = m & low
+            ws = m >> n
+            h = 1 << entry.home
+            state = entry.state
+            if state == DirState.IDLE:
+                if (rs | ws) & ~h:
                     self._raise(machine, phase, "directory-agreement",
                                 f"{entry!r} is IDLE but remote copies exist: "
-                                f"readers={sorted(rs)} writers={sorted(ws)}")
-                if home not in ws:
+                                f"readers={_nodes(rs)} writers={_nodes(ws)}")
+                if not ws & h:
                     self._raise(machine, phase, "directory-agreement",
                                 f"{entry!r} is IDLE but home holds no writable copy")
-            elif entry.state in prof.shared_states:
-                stale = rs - entry.sharers - {home}
+            elif state in shared_states:
+                sharers = entry.sharers._mask
+                stale = rs & ~sharers & ~h
                 if stale:
                     self._raise(machine, phase, "lost-invalidation",
-                                f"{entry!r}: nodes {sorted(stale)} hold readable "
+                                f"{entry!r}: nodes {_nodes(stale)} hold readable "
                                 f"copies the directory does not list")
-                missing = entry.sharers - rs - ws
+                missing = sharers & ~rs & ~ws
                 if missing:
                     self._raise(machine, phase, "directory-agreement",
-                                f"{entry!r}: recorded sharers {sorted(missing)} "
+                                f"{entry!r}: recorded sharers {_nodes(missing)} "
                                 f"hold no readable copy")
-                if ws and not (prof.home_writer_may_coexist and ws == {home}):
+                if ws and not (coexist and ws == h):
                     self._raise(machine, phase, "directory-agreement",
-                                f"{entry!r} is shared but nodes {sorted(ws)} hold "
+                                f"{entry!r} is shared but nodes {_nodes(ws)} hold "
                                 f"writable copies")
-            elif entry.state == DirState.EXCLUSIVE:
-                if ws != {entry.owner}:
+            elif state == DirState.EXCLUSIVE:
+                owner = entry.owner
+                if owner is None or ws != 1 << owner:
                     self._raise(machine, phase, "directory-agreement",
                                 f"{entry!r}: owner should be the only writer, "
-                                f"but writers={sorted(ws)}")
+                                f"but writers={_nodes(ws)}")
                 if rs:
                     self._raise(machine, phase, "lost-invalidation",
-                                f"{entry!r} is EXCLUSIVE but nodes {sorted(rs)} "
+                                f"{entry!r} is EXCLUSIVE but nodes {_nodes(rs)} "
                                 f"still hold readable copies")
 
         # no lost invalidations on untracked blocks: a non-home copy of a
         # block the directory has never seen can only come from a protocol
         # granting data without recording it
-        for block in (set(readers) | set(writers)) - tracked:
-            home = machine.home(block)
-            holders = (readers.get(block, set()) | writers.get(block, set())) - {home}
+        for block in sorted(held):
+            holders = (held[block] & low | held[block] >> n) & ~(1 << home(block))
             if holders:
                 self._raise(machine, phase, "lost-invalidation",
-                            f"block {block}: nodes {sorted(holders)} hold copies "
-                            f"but the home directory has no entry")
+                            f"block {block}: nodes {_nodes(holders)} hold "
+                            f"copies but the home directory has no entry")
+
+
+def _nodes(mask: int) -> list[int]:
+    """Node ids set in ``mask``, ascending (for violation reports)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

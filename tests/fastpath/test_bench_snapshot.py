@@ -67,6 +67,18 @@ def test_snapshot_round_trips_through_json_and_metrics(tiny_payloads):
     assert reg.to_dict() == wire["metrics"]
 
 
+def test_fuzz_case_times_a_clean_campaign():
+    case = perf.BenchCase("tiny/fuzz", perf.FUZZ, "all", False, 32,
+                          dict(seeds=2), "quick")
+    doc = perf.snapshot(perf.measure([case], repeats=2), repeats=2)
+    (row,) = doc["workloads"]
+    assert row["events"] > 0 and row["wall_cycles"] > 0  # runs, node cycles
+    assert row["norm_sim"] == row["norm_total"] > 0
+    assert "norm_valuepass" not in row
+    assert MetricsRegistry.from_dict(doc["metrics"]).total("node.cycles") \
+        == row["wall_cycles"]
+
+
 def test_snapshot_rejects_bad_inputs(tiny_payloads):
     with pytest.raises(ValueError):
         perf.snapshot([{**tiny_payloads[0], "kernel_seconds": 0.0}],
@@ -141,7 +153,7 @@ def test_committed_app_rows_gate_the_value_pass():
     doc = perf.load_snapshot(json.loads(
         (REPO_ROOT / "benchmarks" / perf.SNAPSHOT_NAME).read_text()))
     for row in doc["workloads"]:
-        if row["app"] != perf.MICROBENCH:
+        if row["app"] not in perf.PSEUDO_APPS:
             assert 0 < row["norm_valuepass"] <= row["norm_total"]
 
 

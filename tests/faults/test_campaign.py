@@ -1,5 +1,7 @@
 """Tests for fault campaigns and injection-history shrinking."""
 
+import pytest
+
 from repro.faults import FaultPlan, run_campaign
 from repro.faults.campaign import shrink_events
 from repro.faults.plan import FaultEvent
@@ -102,6 +104,17 @@ class TestRunCampaign:
         )
         assert report.ok
         assert report.workloads > 1  # the generated seed plus bundled traces
+
+    def test_phaseless_trace_fails_naming_the_file(self, tmp_path):
+        from repro.tempest.tracefile import save_session
+        from repro.util.errors import SimulationError
+
+        save_session([("begin_group", "d0"), ("end_group",)],
+                     tmp_path / "groups-only.trace")
+        with pytest.raises(SimulationError, match="groups-only.trace"):
+            run_campaign(plans={"dup": FaultPlan(name="dup", dup_rate=0.3)},
+                         seeds=0, traces_dir=tmp_path,
+                         check_unrecoverable=False)
 
 
 class TestFailureScripts:

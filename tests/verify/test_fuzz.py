@@ -207,6 +207,15 @@ class TestBundledTraces:
             report = verify_trace_file(path)
             assert report.ok, f"{path}:\n{report.summary()}"
 
+    def test_phaseless_trace_fails_naming_the_file(self, tmp_path):
+        from repro.tempest.tracefile import save_session
+        from repro.util.errors import SimulationError
+
+        path = tmp_path / "groups-only.trace"
+        save_session([("begin_group", "d0"), ("end_group",)], path)
+        with pytest.raises(SimulationError, match="groups-only.trace"):
+            verify_trace_file(path)
+
     def test_bundled_traces_match_their_generators(self, tmp_path):
         """The checked-in traces are exactly what the generator emits, so
         --regen-traces is idempotent."""
